@@ -6,14 +6,13 @@
 ///                   [disables: comma list of h1,h2,dec,fwd,ed]
 ///
 /// The optional fourth argument switches individual LS techniques off
-/// (ablation), e.g. `./inspect_run ls 100 20 dec,fwd`. Set RTDB_TRACE
-/// (e.g. RTDB_TRACE=lock,window) to dump the last protocol events of the
-/// run.
+/// (ablation), e.g. `./inspect_run ls 100 20 dec,fwd`. For the run's
+/// protocol event stream use `rtdbctl ... --trace-out FILE --trace-format
+/// jsonl`.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
 
 #include "core/runner.hpp"
@@ -106,13 +105,6 @@ int main(int argc, char** argv) {
                 std::string(net::to_string(kindk)).c_str(),
                 (unsigned long long)m.messages.messages(kindk),
                 (unsigned long long)(m.messages.bytes(kindk) / 1024));
-  }
-  if (system->trace().active()) {
-    std::printf("\n--- trace tail (%zu events recorded, %zu dropped) ---\n",
-                system->trace().events().size(), system->trace().dropped());
-    std::ostringstream os;
-    system->trace().dump(os, 60);
-    std::fputs(os.str().c_str(), stdout);
   }
   return 0;
 }

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/dense_map.hpp"
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "sim/time.hpp"
 
 /// \file auditor.hpp

@@ -49,8 +49,9 @@ void CentralizedSystem::submit_to_server(txn::Transaction txn,
     const sim::Duration gap = restart.finite() && restart > now
                                   ? restart - now
                                   : plan.request_timeout;
-    const std::uint64_t salt = (std::uint64_t{txn.origin.value()} << 40) ^
-                               (txn.id.value() << 8) ^ 3u;
+    const std::uint64_t salt =
+        (static_cast<std::uint64_t>(txn.origin.value()) << 40) ^
+        (txn.id.value() << 8) ^ 3u;
     sim_.after(gap + fault::outage_jitter(config_.seed, salt, attempt + 1,
                                           plan.outage_jitter_bound),
                [this, attempt, txn = std::move(txn)]() mutable {

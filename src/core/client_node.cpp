@@ -437,8 +437,9 @@ void ClientNode::return_retry_fired(ObjectId obj) {
     const sim::Duration gap = restart.finite() && restart > now
                                   ? restart - now
                                   : plan.return_timeout;
-    const std::uint64_t salt = (std::uint64_t{id_.value()} << 40) ^
-                               (std::uint64_t{obj.value()} << 8) ^ 1u;
+    const std::uint64_t salt =
+        (static_cast<std::uint64_t>(id_.value()) << 40) ^
+        (std::uint64_t{obj.value()} << 8) ^ 1u;
     rec.timer = sys_.sim().after(
         gap + fault::outage_jitter(sys_.cfg().seed, salt, ++rec.deferrals,
                                    plan.outage_jitter_bound),
@@ -720,12 +721,6 @@ void ClientNode::decide_placement(Live& live, const LocationReply& reply) {
 void ClientNode::ship_txn(TxnId id, ClientId to) {
   Live* live = find(id);
   assert(live && !live->remote);
-  if (sys_.trace().enabled(sim::TraceCategory::kShip)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kShip, site_,
-                       "ship txn=%llu -> site %d",
-                       static_cast<unsigned long long>(id.value()),
-                       site_of(to).value());
-  }
   ++sys_.live_metrics().shipped_txns;
   if (sys_.telemetry().events_enabled()) {
     sys_.telemetry().event(obs::EventKind::kTxnShip, sys_.sim().now(), site_,
@@ -825,12 +820,10 @@ bool ClientNode::spec_claim(TxnId orig, bool local) {
   const bool claimed =
       s.winner == Spec::Winner::kOpen ? (s.winner = side, true)
                                       : s.winner == side;
-  if (sys_.trace().enabled(sim::TraceCategory::kSpec)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kSpec, site_,
-                       "spec claim txn=%llu by %s -> %s",
-                       static_cast<unsigned long long>(orig.value()),
-                       local ? "local" : "remote",
-                       claimed ? "granted" : "denied");
+  if (sys_.telemetry().events_enabled()) {
+    sys_.telemetry().event(obs::EventKind::kSpecClaim, sys_.sim().now(),
+                           site_, orig, ObjectId{}, local ? 1 : 0,
+                           claimed ? 1 : 0);
   }
   return claimed;
 }
@@ -1273,8 +1266,9 @@ void ClientNode::request_retry_fired(TxnId id, std::uint32_t epoch) {
     const sim::Duration gap = restart.finite() && restart > now
                                   ? restart - now
                                   : plan.request_timeout;
-    const std::uint64_t salt = (std::uint64_t{id_.value()} << 40) ^
-                               (id.value() << 8) ^ 2u;
+    const std::uint64_t salt =
+        (static_cast<std::uint64_t>(id_.value()) << 40) ^
+        (id.value() << 8) ^ 2u;
     l->retry_timer = sys_.sim().after(
         gap + fault::outage_jitter(sys_.cfg().seed, salt, ++l->outage_attempts,
                                    plan.outage_jitter_bound),
@@ -1411,24 +1405,12 @@ void ClientNode::commit(TxnId id) {
     }
   }
   update_atl(live->t, sys_.sim().now());
-  if (sys_.trace().enabled(sim::TraceCategory::kTxn)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kTxn, site_,
-                       "commit txn=%llu slack=%.3f",
-                       static_cast<unsigned long long>(id.value()),
-                       (live->t.deadline - sys_.sim().now()).sec());
-  }
   finish(id, txn::TxnState::kCommitted);
 }
 
 void ClientNode::handle_deadline(TxnId id) {
   Live* live = find(id);
   if (!live || !txn::is_live(live->t.state)) return;
-  if (sys_.trace().enabled(sim::TraceCategory::kTxn)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kTxn, site_,
-                       "miss txn=%llu (state %s)",
-                       static_cast<unsigned long long>(id.value()),
-                       std::string(txn::to_string(live->t.state)).c_str());
-  }
   finish(id, txn::TxnState::kMissed);
 }
 

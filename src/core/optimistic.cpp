@@ -105,7 +105,7 @@ void OptimisticSystem::begin_attempt(TxnId id) {
                                     ? restart - now
                                     : plan.request_timeout;
       const std::uint64_t salt =
-          (std::uint64_t{live->t.origin.value()} << 40) ^
+          (static_cast<std::uint64_t>(live->t.origin.value()) << 40) ^
           (id.value() << 8) ^ 4u;
       sim_.after(gap + fault::outage_jitter(config_.seed, salt,
                                             ++live->outage_attempts,
@@ -299,8 +299,9 @@ void OptimisticSystem::validate_retry_fired(TxnId id, std::uint32_t epoch) {
     const sim::Duration gap = restart.finite() && restart > now
                                   ? restart - now
                                   : plan.request_timeout;
-    const std::uint64_t salt = (std::uint64_t{l->t.origin.value()} << 40) ^
-                               (id.value() << 8) ^ 5u;
+    const std::uint64_t salt =
+        (static_cast<std::uint64_t>(l->t.origin.value()) << 40) ^
+        (id.value() << 8) ^ 5u;
     l->val_timer = sim_.after(
         gap + fault::outage_jitter(config_.seed, salt, ++l->outage_attempts,
                                    plan.outage_jitter_bound),

@@ -6,7 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "net/fault_hook.hpp"
 #include "net/message.hpp"
 #include "sim/rng.hpp"

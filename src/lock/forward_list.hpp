@@ -5,7 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "lock/modes.hpp"
 #include "sim/time.hpp"
 

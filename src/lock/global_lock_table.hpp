@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/flat_hash.hpp"
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "lock/forward_list.hpp"
 #include "lock/modes.hpp"
 #include "sim/stats.hpp"

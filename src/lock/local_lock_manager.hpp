@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/flat_hash.hpp"
-#include "common/ids.hpp"
 #include "common/small_function.hpp"
+#include "common/strong_id.hpp"
 #include "lock/modes.hpp"
 #include "lock/wait_for_graph.hpp"
 #include "sim/stats.hpp"

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "lock/modes.hpp"
 
 /// \file standby.hpp

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/flat_hash.hpp"
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 
 /// \file wait_for_graph.hpp
 /// Deadlock detection. The paper: "Wait-for graphs are used to detect

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "net/message.hpp"
 #include "sim/time.hpp"
 

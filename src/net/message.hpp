@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <string_view>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "sim/stats.hpp"
 
 /// \file message.hpp

@@ -5,7 +5,7 @@
 
 #include <string>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "net/fault_hook.hpp"
 #include "net/message.hpp"
 #include "sim/simulator.hpp"

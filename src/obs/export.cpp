@@ -16,14 +16,6 @@ int pid_of(SiteId site) { return site.value() + 1; }
 
 double usec_of(sim::SimTime t) { return t.sec() * 1e6; }
 
-void site_name(std::ostream& os, SiteId site) {
-  if (site == kServerSite) {
-    os << "server";
-  } else {
-    os << "client " << site;
-  }
-}
-
 /// One trace_event object. `extra` (optional) is raw JSON appended into the
 /// args object.
 void emit_meta(std::ostream& os, bool& first, const char* name, int pid,

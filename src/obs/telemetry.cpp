@@ -88,6 +88,7 @@ const char* to_string(EventKind k) {
     case EventKind::kRetransmit: return "retransmit";
     case EventKind::kFaultReroute: return "fault_reroute";
     case EventKind::kFaultRepair: return "fault_repair";
+    case EventKind::kSpecClaim: return "spec_claim";
   }
   return "?";
 }

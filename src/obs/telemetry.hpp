@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "sim/time.hpp"
 
 /// \file telemetry.hpp
@@ -16,7 +16,10 @@
 /// outcome), typed protocol events (messages, grants, recalls, forwards),
 /// fixed-interval gauge series, and a deadline-miss attribution table.
 ///
-/// Design rules (mirroring sim::TraceLog):
+/// The typed event stream is the simulator's one protocol trace; read it
+/// through `rtdbctl --trace-out FILE --trace-format perfetto|jsonl`.
+///
+/// Design rules:
 ///  * near-zero cost when disabled — every call site is guarded by a single
 ///    branch on spans_enabled()/events_enabled();
 ///  * purely passive — recording never schedules, cancels or mutates
@@ -88,8 +91,7 @@ struct TxnSpan {
   sim::SimTime last_ready = kUnsetTime;
 };
 
-/// Typed protocol events, replacing the ad-hoc printf strings of TraceLog
-/// for machine consumption. Field use per kind is documented in
+/// Typed protocol events. Field use per kind is documented in
 /// docs/observability.md.
 enum class EventKind : std::uint8_t {
   kMsgSend = 0,  ///< site -> a: b = net::MessageKind, v = frame bytes
@@ -114,12 +116,14 @@ enum class EventKind : std::uint8_t {
   kOccValidate,  ///< validation performed; b = 1 rejected
   kCacheEvict,   ///< client cache evicted object
   // Fault injection / recovery (only emitted while a FaultPlan is active).
-  kSiteCrash,    ///< scheduled client crash window entered
-  kSiteRecover,  ///< crashed client rejoined cold
-  kSiteDead,     ///< server declared the client dead; a = locks reclaimed
-  kRetransmit,   ///< request/recall/return re-sent; a = kind discriminator
+  kSiteCrash,    ///< scheduled crash window entered (site 0 = server)
+  kSiteRecover,  ///< crashed site restarted (site 0 = server)
+  kSiteDead,     ///< server declared the client at site a dead
+  kRetransmit,   ///< request/recall/return re-sent; a = recall target
   kFaultReroute, ///< forward list re-routed around a dead/expired hop
   kFaultRepair,  ///< circulation watchdog re-shipped the server copy
+  // Appended after the fault kinds so no existing ordinal moves.
+  kSpecClaim,    ///< speculation claim; a = 1 local claimant, b = 1 granted
 };
 
 const char* to_string(EventKind k);
@@ -195,8 +199,8 @@ class Telemetry {
 
   // --- span lifecycle -------------------------------------------------------
   // All span calls are cheap no-ops when spans are disabled; call sites
-  // still guard with spans_enabled() to keep the disabled cost to one
-  // branch (TraceLog discipline).
+  // still guard with spans_enabled(), so a disabled layer costs exactly
+  // one branch per call site.
 
   /// Creates the span (idempotent: a second admit for the same id — e.g. a
   /// shipped transaction re-admitted at the remote site — is ignored).

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/flat_hash.hpp"
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "sim/stats.hpp"
 
 /// \file buffer_manager.hpp

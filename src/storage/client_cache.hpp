@@ -3,7 +3,7 @@
 #include <functional>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "sim/simulator.hpp"
 #include "storage/buffer_manager.hpp"
 #include "storage/disk.hpp"

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "sim/simulator.hpp"
 #include "storage/buffer_manager.hpp"
 #include "storage/disk.hpp"

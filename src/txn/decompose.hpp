@@ -3,7 +3,7 @@
 #include <functional>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "txn/transaction.hpp"
 
 /// \file decompose.hpp

@@ -4,7 +4,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "lock/modes.hpp"
 #include "sim/time.hpp"
 

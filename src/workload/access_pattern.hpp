@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "sim/rng.hpp"
 
 /// \file access_pattern.hpp

@@ -3,7 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "txn/transaction.hpp"

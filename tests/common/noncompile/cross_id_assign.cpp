@@ -2,7 +2,7 @@
 // not compile, even though SiteId and ClientId share a representation.
 // Built by the noncompile_* ctest targets with WILL_FAIL — if this file
 // ever compiles, the strong-id layer has regressed.
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 
 int main() {
   rtdb::SiteId site{1};

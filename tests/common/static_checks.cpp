@@ -12,7 +12,7 @@
 #include <type_traits>
 #include <unordered_map>
 
-#include "common/ids.hpp"
+#include "common/strong_id.hpp"
 #include "common/strong_time.hpp"
 #include "net/message.hpp"
 #include "sim/time.hpp"

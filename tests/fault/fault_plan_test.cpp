@@ -115,7 +115,9 @@ TEST(ChaosLibrary, WindowsLandInsideTheRun) {
     }
     for (const auto& w : plan.crashes) {
       EXPECT_GE(w.start, t0) << name;
-      if (w.end.finite()) EXPECT_LE(w.end, t1) << name;
+      if (w.end.finite()) {
+        EXPECT_LE(w.end, t1) << name;
+      }
     }
   }
 }

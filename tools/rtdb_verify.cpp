@@ -211,15 +211,7 @@ struct Run {
 Run run_one(core::SystemKind kind, const core::SystemConfig& cfg) {
   Run r;
   r.sys = core::make_system(kind, cfg);
-  // Debug affordance: RTDB_TRACE=lock,... fills the in-memory trace ring
-  // so a failing proof can be diagnosed (dump via RTDB_TRACE_DUMP=FILE).
-  r.sys->trace().enable_from_env();
   r.metrics = r.sys->run();
-  if (const char* dump = std::getenv("RTDB_TRACE_DUMP");
-      dump != nullptr && r.sys->trace().active()) {
-    std::ofstream os(dump, std::ios::app);
-    r.sys->trace().dump(os);
-  }
   r.base_digest = run_digest(*r.sys, r.metrics);
   Digest d;
   d.u64(r.base_digest);
