@@ -27,7 +27,8 @@ if [ "$actual" != "$golden" ]; then
 fi
 echo "compare_digests: all prototype digests match golden"
 
-chaos_golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 ~ /:/ && $1 !~ /:server-/ {print $1, $2}')
+chaos_golden=$(grep -v '^#' scripts/golden_digests.txt |
+  awk 'NF && $1 ~ /:/ && $1 !~ /:server-/ && $1 !~ /:telemetry$/ {print $1, $2}')
 if [ -n "$chaos_golden" ]; then
   chaos_actual=$("$VERIFY" --chaos | awk '/ chaos /  {sub(/^digest=/, "", $4); print $2, $4}')
   if [ "$chaos_actual" != "$chaos_golden" ]; then
@@ -51,4 +52,23 @@ if [ -n "$server_golden" ]; then
     exit 1
   fi
   echo "compare_digests: all server-chaos digests match golden"
+fi
+
+# Telemetry lines are <prototype>:telemetry: the span+event+sample digest of
+# an instrumented run (rtdb_verify --mode telemetry). Drift means the trace
+# itself changed — a moved, added or dropped event — even when the outcome
+# digests above are untouched.
+tel_golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 ~ /:telemetry$/ {print $1, $2}')
+if [ -n "$tel_golden" ]; then
+  tel_actual=$("$VERIFY" --mode telemetry | awk '/ telemetry / {
+    for (i = 3; i <= NF; ++i) if ($i ~ /^digest=/) print $2 ":telemetry", substr($i, 8)
+  }')
+  if [ "$tel_actual" != "$tel_golden" ]; then
+    echo "compare_digests: telemetry digest drift detected" >&2
+    diff <(printf '%s\n' "$tel_golden") <(printf '%s\n' "$tel_actual") >&2
+    echo "(golden on the left, this build on the right; telemetry digests" \
+         "fold every span, typed event and gauge sample)" >&2
+    exit 1
+  fi
+  echo "compare_digests: all telemetry digests match golden"
 fi
