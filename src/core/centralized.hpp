@@ -1,10 +1,10 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "common/dense_map.hpp"
 #include "core/system.hpp"
+#include "core/txn_table.hpp"
 #include "lock/local_lock_manager.hpp"
 #include "sim/resource.hpp"
 #include "storage/paged_file.hpp"
@@ -83,9 +83,6 @@ class CentralizedSystem final : public System {
   void execute(Live& live);
   void commit(TxnId id);
   void handle_deadline(TxnId id);
-  void destroy(TxnId id);
-
-  Live* find(TxnId id);
 
   std::unique_ptr<storage::PagedFile> pf_;
   lock::LocalLockManager locks_;
@@ -97,7 +94,7 @@ class CentralizedSystem final : public System {
   /// driving admission feasibility shedding.
   sim::MeanAccumulator observed_length_;
   txn::EdfQueue<TxnId> ready_;
-  std::unordered_map<TxnId, std::unique_ptr<Live>> live_;
+  TxnTable<Live> live_;
   std::size_t busy_slots_ = 0;
   /// Server incarnation guard: the serial admission overhead captures the
   /// value and, when the server crashed underneath it, accounts the miss

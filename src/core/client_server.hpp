@@ -34,16 +34,6 @@ class ClientServerSystem final : public System {
   /// measurement boundary, so warm-up increments wash out).
   [[nodiscard]] RunMetrics& live_metrics() { return metrics_; }
 
-  /// Outcome accounting, exposed to the nodes (origin side only).
-  void note_commit(const txn::Transaction& t, sim::SimTime commit_time) {
-    record_commit(t, commit_time);
-  }
-  void note_miss(const txn::Transaction& t) { record_miss(t); }
-  void note_abort(const txn::Transaction& t) { record_abort(t); }
-  [[nodiscard]] bool measured(const txn::Transaction& t) const {
-    return is_measured(t);
-  }
-
   /// Fresh id for sub-tasks (they run the pipeline as first-class txns).
   TxnId fresh_txn_id() { return next_txn_id(); }
 

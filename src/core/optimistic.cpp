@@ -48,27 +48,20 @@ void OptimisticSystem::start() {
   }
 }
 
-OptimisticSystem::Live* OptimisticSystem::find(TxnId id) {
-  auto it = live_.find(id);
-  return it == live_.end() ? nullptr : it->second.get();
-}
-
 void OptimisticSystem::on_arrival(std::size_t client_index,
                                   txn::Transaction txn) {
   const TxnId id = txn.id;
-  auto live = std::make_unique<Live>();
-  live->t = std::move(txn);
-  live->client_index = client_index;
-  Live& ref = *live;
-  live_.emplace(id, std::move(live));
+  Live& ref = live_.emplace(id);
+  ref.t = std::move(txn);
+  ref.client_index = client_index;
   ref.deadline_timer =
       sim_.at(ref.t.deadline, [this, id] { handle_deadline(id); });
   begin_attempt(id);
 }
 
 void OptimisticSystem::begin_attempt(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
+  Live* live = live_.current(id);
+  if (!live) return;
   live->t.state = txn::TxnState::kAcquiring;  // here: fetching copies
   live->read_set.clear();
   live->fetches_pending = 0;
@@ -100,23 +93,14 @@ void OptimisticSystem::begin_attempt(TxnId id) {
         finish(id, txn::TxnState::kMissed);
         return;
       }
-      ++injector()->stats().outage_deferrals;
-      const sim::Duration gap = restart.finite() && restart > now
-                                    ? restart - now
-                                    : plan.request_timeout;
       const std::uint64_t salt =
           (static_cast<std::uint64_t>(live->t.origin.value()) << 40) ^
           (id.value() << 8) ^ 4u;
-      sim_.after(gap + fault::outage_jitter(config_.seed, salt,
-                                            ++live->outage_attempts,
-                                            plan.outage_jitter_bound),
+      sim_.after(injector()->outage_delay(now, plan.request_timeout,
+                                          config_.seed, salt,
+                                          ++live->outage_attempts),
                  [this, id, epoch] {
-                   Live* l = find(id);
-                   if (!l || l->epoch != epoch ||
-                       !txn::is_live(l->t.state)) {
-                     return;
-                   }
-                   begin_attempt(id);
+                   if (live_.current(id, epoch)) begin_attempt(id);
                  });
       return;
     }
@@ -128,8 +112,8 @@ void OptimisticSystem::begin_attempt(TxnId id) {
     const bool local = cs.cache.access(
         obj, /*write=*/false,
         [this, id, epoch, io_start = sim_.now()] {
-          Live* l = find(id);
-          if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
+          Live* l = live_.current(id, epoch);
+          if (!l) return;
           if (tel_.spans_enabled()) {
             // Local-cache page fault (client disk).
             tel_.add_wait(id, obs::WaitBucket::kDisk, sim_.now() - io_start);
@@ -166,11 +150,8 @@ void OptimisticSystem::begin_attempt(TxnId id) {
                     net_.send<net::MessageKind::kObjectShip>(
                         net::kServer, site,
                         [this, id, obj, v, epoch, fetch_start, disk_d] {
-                                Live* l = find(id);
-                                if (!l || l->epoch != epoch ||
-                                    !txn::is_live(l->t.state)) {
-                                  return;
-                                }
+                                Live* l = live_.current(id, epoch);
+                                if (!l) return;
                                 if (tel_.spans_enabled()) {
                                   // Fetch round trip: the server's page
                                   // read is disk wait, the rest network.
@@ -196,8 +177,8 @@ void OptimisticSystem::begin_attempt(TxnId id) {
 }
 
 void OptimisticSystem::on_all_fetched(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
+  Live* live = live_.current(id);
+  if (!live) return;
   // Snapshot the versions the execution will read.
   ClientState& cs = state_of(*live);
   for (const auto& [obj, mode] : live->t.lock_needs()) {
@@ -219,7 +200,7 @@ void OptimisticSystem::pump_executor(std::size_t client_index) {
   while (cs.busy_slots < config_.client_executor_slots) {
     auto next = cs.ready.pop();
     if (!next) return;
-    Live* live = find(*next);
+    Live* live = live_.find(*next);
     if (!live || live->t.state != txn::TxnState::kReady) continue;
     live->t.state = txn::TxnState::kExecuting;
     ++cs.busy_slots;
@@ -229,7 +210,7 @@ void OptimisticSystem::pump_executor(std::size_t client_index) {
       tel_.event(obs::EventKind::kTxnExec, sim_.now(), live->t.origin, id);
     }
     sim_.after(live->t.length, [this, id] {
-      Live* l = find(id);
+      Live* l = live_.find(id);
       if (!l || l->t.state != txn::TxnState::kExecuting) return;
       // Execution done: free the slot and go validate.
       ClientState& st = state_of(*l);
@@ -241,8 +222,8 @@ void OptimisticSystem::pump_executor(std::size_t client_index) {
 }
 
 void OptimisticSystem::validate(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
+  Live* live = live_.current(id);
+  if (!live) return;
   live->t.state = txn::TxnState::kAcquiring;  // awaiting the verdict
   live->val_retries = 0;
   send_validate(*live);
@@ -284,27 +265,22 @@ void OptimisticSystem::send_validate(Live& live) {
 }
 
 void OptimisticSystem::validate_retry_fired(TxnId id, std::uint32_t epoch) {
-  Live* l = find(id);
   // Same epoch + still live means the verdict never arrived (an accept
   // erases the record, a reject bumps the epoch).
-  if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
+  Live* l = live_.current(id, epoch);
+  if (!l) return;
   const fault::FaultPlan& plan = injector()->plan();
   const sim::SimTime now = sim_.now();
   if (injector()->server_down(now)) {
     // Retransmitting the commit point into a crashed server is a
     // guaranteed drop: defer past the projected restart (jittered),
     // without spending the bounded budget.
-    ++injector()->stats().outage_deferrals;
-    const sim::SimTime restart = plan.server_restart_time(now);
-    const sim::Duration gap = restart.finite() && restart > now
-                                  ? restart - now
-                                  : plan.request_timeout;
     const std::uint64_t salt =
         (static_cast<std::uint64_t>(l->t.origin.value()) << 40) ^
         (id.value() << 8) ^ 5u;
     l->val_timer = sim_.after(
-        gap + fault::outage_jitter(config_.seed, salt, ++l->outage_attempts,
-                                   plan.outage_jitter_bound),
+        injector()->outage_delay(now, plan.request_timeout, config_.seed,
+                                 salt, ++l->outage_attempts),
         [this, id, epoch] { validate_retry_fired(id, epoch); });
     return;
   }
@@ -384,8 +360,8 @@ void OptimisticSystem::server_validate(
 void OptimisticSystem::on_verdict(
     TxnId id, bool accepted,
     std::vector<std::pair<ObjectId, std::uint64_t>> fresh) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
+  Live* live = live_.current(id);
+  if (!live) return;
   if (accepted) {
     finish(id, txn::TxnState::kCommitted);
     return;
@@ -413,46 +389,23 @@ void OptimisticSystem::on_verdict(
   }
   ++metrics_.deadlock_refusals;  // repurposed: counted as CC-induced restarts
   sim_.after(occ_.restart_backoff, [this, id, epoch] {
-    Live* l = find(id);
-    if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
-    begin_attempt(id);
+    if (live_.current(id, epoch)) begin_attempt(id);
   });
 }
 
 void OptimisticSystem::handle_deadline(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
-  finish(id, txn::TxnState::kMissed);
+  if (live_.current(id)) finish(id, txn::TxnState::kMissed);
 }
 
 void OptimisticSystem::finish(TxnId id, txn::TxnState final_state) {
-  Live* live = find(id);
+  Live* live = live_.find(id);
   assert(live);
   const bool was_executing = live->t.state == txn::TxnState::kExecuting;
   live->t.state = final_state;
   sim_.cancel(live->deadline_timer);
   sim_.cancel(live->val_timer);
   if (faults_active()) validated_ok_.erase(id);
-  if (tel_.events_enabled()) {
-    const obs::EventKind k =
-        final_state == txn::TxnState::kCommitted ? obs::EventKind::kTxnCommit
-        : final_state == txn::TxnState::kMissed  ? obs::EventKind::kTxnMiss
-                                                 : obs::EventKind::kTxnAbort;
-    tel_.event(k, sim_.now(), live->t.origin, id);
-  }
-  switch (final_state) {
-    case txn::TxnState::kCommitted:
-      record_commit(live->t, sim_.now());
-      break;
-    case txn::TxnState::kMissed:
-      record_miss(live->t);
-      break;
-    case txn::TxnState::kAborted:
-      record_abort(live->t);
-      break;
-    default:
-      assert(false && "finish() with a live state");
-  }
+  resolve(live->t, final_state, live->t.origin);
   ClientState& cs = state_of(*live);
   if (was_executing && cs.busy_slots > 0) --cs.busy_slots;
   const std::size_t client_index = live->client_index;
@@ -463,22 +416,14 @@ void OptimisticSystem::finish(TxnId id, txn::TxnState final_state) {
 void OptimisticSystem::on_site_crash(std::size_t client_index) {
   if (client_index >= clients_.size()) return;
   ClientState& cs = *clients_[client_index];
-  // Every transaction hosted here dies with the workstation. Collect and
-  // sort first: unordered_map iteration order must not leak into the
-  // miss-record (and hence telemetry) order.
-  std::vector<TxnId> gone;
-  for (const auto& [id, l] : live_) {
-    if (l->client_index == client_index) gone.push_back(id);
-  }
-  std::sort(gone.begin(), gone.end());
-  for (const TxnId id : gone) {
-    Live* l = find(id);
+  // Every transaction hosted here dies with the workstation, swept in id
+  // order.
+  for (const TxnId id : live_.ids()) {
+    Live* l = live_.find(id);
+    if (l->client_index != client_index) continue;
     sim_.cancel(l->deadline_timer);
     sim_.cancel(l->val_timer);
-    if (tel_.events_enabled()) {
-      tel_.event(obs::EventKind::kTxnMiss, sim_.now(), l->t.origin, id);
-    }
-    record_miss(l->t);
+    resolve(l->t, txn::TxnState::kMissed, l->t.origin);
     validated_ok_.erase(id);
     live_.erase(id);
   }

@@ -6,6 +6,7 @@
 
 #include "common/dense_map.hpp"
 #include "core/system.hpp"
+#include "core/txn_table.hpp"
 #include "sim/resource.hpp"
 #include "storage/client_cache.hpp"
 #include "storage/paged_file.hpp"
@@ -115,7 +116,6 @@ class OptimisticSystem final : public System {
   void handle_deadline(TxnId id);
   void finish(TxnId id, txn::TxnState final_state);
 
-  Live* find(TxnId id);
   ClientState& state_of(const Live& live) { return *clients_[live.client_index]; }
 
   OccOptions occ_;
@@ -123,7 +123,7 @@ class OptimisticSystem final : public System {
   std::unique_ptr<sim::SerialResource> server_cpu_;
   common::DenseArray<ObjectId, std::uint64_t> committed_;  // server versions
   std::vector<std::unique_ptr<ClientState>> clients_;
-  std::unordered_map<TxnId, std::unique_ptr<Live>> live_;
+  TxnTable<Live> live_;
   /// Accepted validations by attempt (faults only): the duplicate-
   /// suppression key for retransmitted validate requests.
   std::unordered_map<TxnId, std::uint32_t> validated_ok_;

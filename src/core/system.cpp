@@ -1,11 +1,23 @@
 #include "core/system.hpp"
 
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/check.hpp"
 
 namespace rtdb::core {
+
+namespace {
+
+obs::Outcome outcome_of(txn::TxnState state) {
+  assert(!txn::is_live(state) && "outcome of a live transaction");
+  return state == txn::TxnState::kCommitted ? obs::Outcome::kCommitted
+         : state == txn::TxnState::kMissed  ? obs::Outcome::kMissed
+                                            : obs::Outcome::kAborted;
+}
+
+}  // namespace
 
 System::System(SystemConfig config)
     : config_(config),
@@ -117,10 +129,7 @@ void System::schedule_next_arrival(std::size_t client_index) {
       // The originating site is crashed: the transaction is lost with it.
       // Account it immediately so nothing disappears silently.
       ++injector_->stats().arrivals_while_down;
-      if (tel_.events_enabled()) {
-        tel_.event(obs::EventKind::kTxnMiss, sim_.now(), t.origin, t.id);
-      }
-      record_miss(t);
+      resolve(t, txn::TxnState::kMissed, t.origin);
       return;
     }
     on_arrival(client_index, std::move(t));
@@ -207,50 +216,48 @@ void System::record_generated(const txn::Transaction& t) {
   if (is_measured(t)) ++metrics_.generated;
 }
 
-bool System::first_outcome(const txn::Transaction& t) {
-  if (resolved_.insert(t.id).second) return true;
-  ++double_records_;
-  std::fprintf(stderr, "rtdb: duplicate outcome for txn %llu at t=%.3f\n",
-               static_cast<unsigned long long>(t.id.value()), sim_.now().sec());
-  return false;
-}
-
-void System::record_commit(const txn::Transaction& t,
-                           sim::SimTime commit_time) {
-  if (tel_.spans_enabled()) {
-    tel_.txn_end(t.id, obs::Outcome::kCommitted, commit_time);
+void System::resolve(const txn::Transaction& t, txn::TxnState state,
+                     SiteId at) {
+  const auto slot = static_cast<std::size_t>(t.id.value());
+  if (slot >= resolved_.size()) resolved_.resize(slot + 1);
+  if (resolved_[slot]) {
+    // The first outcome wins; a measured duplicate is a bug worth counting.
+    if (!is_measured(t)) return;
+    ++double_records_;
+    std::fprintf(stderr, "rtdb: duplicate outcome for txn %llu at t=%.3f\n",
+                 static_cast<unsigned long long>(t.id.value()),
+                 sim_.now().sec());
+    return;
   }
+  resolved_[slot] = true;
+  const sim::SimTime now = sim_.now();
+  const obs::Outcome outcome = outcome_of(state);
+  if (tel_.events_enabled()) {
+    const obs::EventKind kind = outcome == obs::Outcome::kCommitted
+                                    ? obs::EventKind::kTxnCommit
+                                : outcome == obs::Outcome::kMissed
+                                    ? obs::EventKind::kTxnMiss
+                                    : obs::EventKind::kTxnAbort;
+    tel_.event(kind, now, at, t.id);
+  }
+  // A span a site already closed (a shipped copy's remote finish) keeps
+  // its instant and outcome: txn_end is first-wins.
+  end_span(t.id, state);
   if (!is_measured(t)) return;
-  if (!first_outcome(t)) return;
-  ++metrics_.committed;
-  metrics_.response_time.add((commit_time - t.arrival).sec());
-  metrics_.commit_slack.add((t.deadline - commit_time).sec());
+  if (outcome == obs::Outcome::kCommitted) {
+    ++metrics_.committed;
+    metrics_.response_time.add((now - t.arrival).sec());
+    metrics_.commit_slack.add((t.deadline - now).sec());
+    return;
+  }
+  ++(outcome == obs::Outcome::kMissed ? metrics_.missed : metrics_.aborted);
+  // The attribution chokepoint: exactly one table entry per measured miss
+  // or abort, so the postmortem totals reconcile with RunMetrics.
+  if (tel_.spans_enabled()) tel_.attribute_outcome(t.id, outcome);
 }
 
-void System::record_miss(const txn::Transaction& t) {
-  if (tel_.spans_enabled()) {
-    tel_.txn_end(t.id, obs::Outcome::kMissed, sim_.now());
-  }
-  if (is_measured(t) && first_outcome(t)) {
-    ++metrics_.missed;
-    // The attribution chokepoint: exactly one table entry per measured
-    // miss, so the postmortem totals reconcile with RunMetrics::missed.
-    if (tel_.spans_enabled()) {
-      tel_.attribute_outcome(t.id, obs::Outcome::kMissed);
-    }
-  }
-}
-
-void System::record_abort(const txn::Transaction& t) {
-  if (tel_.spans_enabled()) {
-    tel_.txn_end(t.id, obs::Outcome::kAborted, sim_.now());
-  }
-  if (is_measured(t) && first_outcome(t)) {
-    ++metrics_.aborted;
-    if (tel_.spans_enabled()) {
-      tel_.attribute_outcome(t.id, obs::Outcome::kAborted);
-    }
-  }
+void System::end_span(TxnId id, txn::TxnState state) {
+  if (tel_.spans_enabled()) tel_.txn_end(id, outcome_of(state), sim_.now());
 }
 
 }  // namespace rtdb::core

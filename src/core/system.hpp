@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
+#include <vector>
 
 #include "core/auditor.hpp"
 #include "core/config.hpp"
@@ -112,6 +112,7 @@ class System {
   virtual void on_server_crash() {}
   virtual void on_server_restart(bool failover) { (void)failover; }
 
+ public:
   /// True if the transaction arrived inside the measurement window and its
   /// outcome must be counted.
   [[nodiscard]] bool is_measured(const txn::Transaction& t) const {
@@ -119,15 +120,20 @@ class System {
            t.arrival < config_.measure_end();
   }
 
-  // Outcome accounting. Exactly one outcome per measured transaction is
-  // enforced: a second record trips `double_records()` (asserted zero by
-  // the property tests) and is dropped.
-  void record_generated(const txn::Transaction& t);
-  void record_commit(const txn::Transaction& t, sim::SimTime commit_time);
-  void record_miss(const txn::Transaction& t);
-  void record_abort(const txn::Transaction& t);
+  /// The outcome chokepoint: every generated transaction's commit, miss or
+  /// abort goes through here, recorded at site `at` (the origin client, or
+  /// kServerSite for the CE server) at the current instant. It is the only
+  /// code that emits kTxnCommit/kTxnMiss/kTxnAbort, and the first call per
+  /// id wins: a second outcome is dropped, and counted in double_records()
+  /// when the transaction is measured. Sub-tasks and speculative copies
+  /// never come here — their parent's outcome does.
+  void resolve(const txn::Transaction& t, txn::TxnState state, SiteId at);
 
- public:
+  /// Closes the span of work that finished at a site without resolving a
+  /// generated transaction: a sub-task, a speculative copy, or a shipped
+  /// copy (whose origin resolves it later; the earlier close wins).
+  void end_span(TxnId id, txn::TxnState state);
+
   /// Measured transactions that had a second outcome recorded (bug if >0).
   [[nodiscard]] std::uint64_t double_records() const {
     return double_records_;
@@ -159,13 +165,12 @@ class System {
   void schedule_next_arrival(std::size_t client_index);
   void schedule_sample(sim::SimTime when);
   void arm_fault_schedule();
-
-  /// Returns false (and counts) when the transaction already has an
-  /// outcome; callers must then drop the duplicate record.
-  bool first_outcome(const txn::Transaction& t);
+  void record_generated(const txn::Transaction& t);
 
   TxnId next_txn_id_{1};
-  std::unordered_set<TxnId> resolved_;
+  /// Ids resolve() has seen, as a bitmap indexed by id value (ids are
+  /// dense: next_txn_id() hands them all out).
+  std::vector<bool> resolved_;
   std::uint64_t double_records_ = 0;
   std::unique_ptr<fault::FaultInjector> injector_;
 };

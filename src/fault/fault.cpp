@@ -320,6 +320,18 @@ std::vector<std::string_view> server_chaos_schedule_names() {
   return {"server-crash", "server-standby", "server-mixed"};
 }
 
+sim::Duration FaultInjector::outage_delay(sim::SimTime now,
+                                          sim::Duration fallback,
+                                          std::uint64_t seed,
+                                          std::uint64_t salt,
+                                          std::uint64_t attempt) {
+  ++stats_.outage_deferrals;
+  const sim::SimTime restart = plan_.server_restart_time(now);
+  const sim::Duration gap =
+      restart.finite() && restart > now ? restart - now : fallback;
+  return gap + outage_jitter(seed, salt, attempt, plan_.outage_jitter_bound);
+}
+
 sim::Duration outage_jitter(std::uint64_t seed, std::uint64_t salt,
                             std::uint64_t attempt, sim::Duration bound) {
   if (bound <= sim::Duration::zero()) return sim::Duration::zero();

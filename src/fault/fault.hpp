@@ -239,6 +239,15 @@ class FaultInjector final : public net::FaultHook {
   /// True while messages between `a` and `b` are partitioned away.
   [[nodiscard]] bool partitioned(SiteId a, SiteId b, sim::SimTime t) const;
 
+  /// Delay for a retry deferred past a server outage (budget-free): counts
+  /// one outage_deferral and returns the gap to the projected restart — or
+  /// `fallback` when none is scheduled ahead of `now` — plus outage_jitter
+  /// over (seed, salt, attempt), so the parked fleet does not land on the
+  /// fresh incarnation in one spike.
+  sim::Duration outage_delay(sim::SimTime now, sim::Duration fallback,
+                             std::uint64_t seed, std::uint64_t salt,
+                             std::uint64_t attempt);
+
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] FaultStats& stats() { return stats_; }
   [[nodiscard]] const FaultStats& stats() const { return stats_; }

@@ -98,6 +98,18 @@ TEST(ServerRecoveryPlan, OutageJitterIsDeterministicAndBounded) {
             sim::Duration::zero());
 }
 
+TEST(ServerRecoveryPlan, OutageDelayWaitsOutTheOutagePlusJitter) {
+  FaultInjector injector(crash_plan());
+  const sim::Duration bound = injector.plan().outage_jitter_bound;
+  // Inside the window: the gap to the projected restart, plus the jitter.
+  EXPECT_EQ(injector.outage_delay(at(11), msec(500), 7, 123, 1),
+            seconds(1) + outage_jitter(7, 123, 1, bound));
+  // No restart ahead of `now`: the fallback timeout stands in for the gap.
+  EXPECT_EQ(injector.outage_delay(at(20), msec(500), 7, 123, 2),
+            msec(500) + outage_jitter(7, 123, 2, bound));
+  EXPECT_EQ(injector.stats().outage_deferrals, 2u);
+}
+
 TEST(ServerRecoveryPlan, ServerChaosSchedulesResolveAndValidate) {
   const auto names = server_chaos_schedule_names();
   ASSERT_EQ(names.size(), 3u);
