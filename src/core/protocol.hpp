@@ -152,7 +152,6 @@ struct ShippedTxn {
 /// Client -> client: one decomposed sub-task (LS).
 struct ShippedSubtask {
   TxnId parent = kInvalidTxn;
-  std::uint32_t index = 0;
   ClientId origin = kInvalidClient;
   txn::Transaction work;  ///< ops subset, proportional length, same deadline
 };
@@ -160,7 +159,6 @@ struct ShippedSubtask {
 /// Executing site -> origin: outcome of a shipped transaction or sub-task.
 struct RemoteResult {
   TxnId id = kInvalidTxn;        ///< shipped txn id, or parent txn id
-  std::uint32_t subtask_index = 0;
   bool is_subtask = false;
   bool success = false;
   /// Speculation copy result: `id` names the origin-side original.
