@@ -3,11 +3,14 @@
 /// the simulator itself?"). Drives all four prototypes (CE / CS / LS / OCC)
 /// at fixed seeds over a client-count sweep and measures, per point:
 ///
-///  * simulated-events/sec — kSimEventsFired over wall-clock seconds, the
-///    headline throughput figure the CI gate tracks;
+///  * simulated-events/sec — the simulator's executed-event count over
+///    wall-clock seconds, the headline throughput figure the CI gate tracks
+///    (taken from the Simulator, so it holds with the perf counters
+///    compiled out);
 ///  * wall-clock seconds (obs::WallClock, the one audited real-time seam);
-///  * peak RSS (getrusage) and allocation pressure (a counting global
-///    operator new in this TU — bench/ may do that, src/ may not);
+///  * allocation pressure and the live-heap high-water mark, re-armed at
+///    each point's start (a counting global operator new/delete in this TU
+///    — bench/ may do that, src/ may not);
 ///  * the full perf counter catalog and per-subsystem section-time
 ///    attribution (sim / net / lock / txn / obs).
 ///
@@ -21,7 +24,7 @@
 ///       "points": [ { "system": "ce|cs|ls|occ", "clients": n,
 ///                     "sim_seconds": s, "wall_s": s, "events": n,
 ///                     "events_per_sec": r, "generated": n, "committed": n,
-///                     "messages": n, "peak_rss_kb": n, "alloc_count": n,
+///                     "messages": n, "peak_heap_kb": n, "alloc_count": n,
 ///                     "alloc_bytes": n,
 ///                     "alloc_by_subsystem": { "sim": {"count": n,
 ///                                                     "bytes": n}, ...,
@@ -34,13 +37,15 @@
 /// Counter values ("events", "generated", "committed", "messages",
 /// "counters") are simulation facts — bit-identical on every machine and
 /// across --quick/full for matching (system, clients) points, because each
-/// point is an independent seeded run. Wall-clock, RSS and allocation
-/// figures are machine-local. scripts/perf_compare.py knows the split:
+/// point is an independent seeded run. Wall-clock, heap and allocation
+/// figures are machine-local (peak_heap_kb counts allocator usable sizes,
+/// informational and ungated). scripts/perf_compare.py knows the split:
 /// --events-only (the ctest gate) compares only the deterministic facts;
 /// full mode (CI perf-smoke) also gates events/sec regressions.
 
-#include <sys/resource.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -72,6 +77,18 @@ std::uint64_t g_alloc_bytes = 0;
 std::uint64_t g_alloc_count_by[kAllocBuckets] = {};
 // rtdb-lint: allow(mutable-static) same operator-new census seam as above
 std::uint64_t g_alloc_bytes_by[kAllocBuckets] = {};
+/// Live heap bytes (allocator usable sizes) and their high-water mark.
+struct LiveHeap {
+  std::uint64_t bytes = 0;
+  std::uint64_t peak = 0;
+};
+// rtdb-lint: allow(mutable-static) same operator-new census seam as above
+LiveHeap g_live;
+
+void census_free(void* p) noexcept {
+  if (p) g_live.bytes -= malloc_usable_size(p);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -86,14 +103,18 @@ void* operator new(std::size_t n) {
   const auto scope = static_cast<std::size_t>(rtdb::perf::alloc_scope());
   ++g_alloc_count_by[scope];
   g_alloc_bytes_by[scope] += n;
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = std::malloc(n ? n : 1)) {
+    g_live.bytes += malloc_usable_size(p);
+    g_live.peak = std::max(g_live.peak, g_live.bytes);
+    return p;
+  }
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { census_free(p); }
+void operator delete[](void* p) noexcept { census_free(p); }
+void operator delete(void* p, std::size_t) noexcept { census_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { census_free(p); }
 
 namespace {
 
@@ -139,7 +160,8 @@ struct Point {
   const char* system;
   std::size_t clients;
   double wall_s = 0;
-  std::uint64_t peak_rss_kb = 0;
+  std::uint64_t events = 0;
+  std::uint64_t peak_heap_kb = 0;
   std::uint64_t alloc_count = 0;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t alloc_count_by[kAllocBuckets] = {};
@@ -147,19 +169,10 @@ struct Point {
   core::RunMetrics metrics;
   perf::Snapshot perf;
 
-  [[nodiscard]] std::uint64_t events() const {
-    return perf.counter(perf::Counter::kSimEventsFired);
-  }
   [[nodiscard]] double events_per_sec() const {
-    return wall_s > 0 ? static_cast<double>(events()) / wall_s : 0.0;
+    return wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
   }
 };
-
-std::uint64_t peak_rss_kb() {
-  rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<std::uint64_t>(ru.ru_maxrss);  // KiB on Linux
-}
 
 Point measure(const SystemUnderTest& sut, std::size_t clients) {
   Point p;
@@ -175,9 +188,15 @@ Point measure(const SystemUnderTest& sut, std::size_t clients) {
   std::uint64_t bytes_by_before[kAllocBuckets];
   std::memcpy(count_by_before, g_alloc_count_by, sizeof(count_by_before));
   std::memcpy(bytes_by_before, g_alloc_bytes_by, sizeof(bytes_by_before));
+  g_live.peak = g_live.bytes;
   const double t0 = obs::WallClock::now_sec();
-  p.metrics = core::run_once(sut.kind, cfg);
+  {
+    const auto sys = core::make_system(sut.kind, cfg);
+    p.metrics = sys->run();
+    p.events = sys->simulator().events_executed();
+  }
   p.wall_s = obs::WallClock::now_sec() - t0;
+  p.peak_heap_kb = g_live.peak / 1024;
   p.alloc_count = g_alloc_count - allocs_before;
   p.alloc_bytes = g_alloc_bytes - bytes_before;
   for (std::size_t i = 0; i < kAllocBuckets; ++i) {
@@ -186,7 +205,6 @@ Point measure(const SystemUnderTest& sut, std::size_t clients) {
   }
   p.perf = perf::snapshot();
   obs::perf_disable_timing();
-  p.peak_rss_kb = peak_rss_kb();
   return p;
 }
 
@@ -234,12 +252,12 @@ void write_json(std::ostream& os, const std::vector<Point>& points,
     w.key("clients").value(p.clients);
     w.key("sim_seconds").value(kSimSeconds);
     w.key("wall_s").value(p.wall_s);
-    w.key("events").value(p.events());
+    w.key("events").value(p.events);
     w.key("events_per_sec").value(p.events_per_sec());
     w.key("generated").value(p.metrics.generated);
     w.key("committed").value(p.metrics.committed);
     w.key("messages").value(p.metrics.messages.total_messages());
-    w.key("peak_rss_kb").value(p.peak_rss_kb);
+    w.key("peak_heap_kb").value(p.peak_heap_kb);
     w.key("alloc_count").value(p.alloc_count);
     w.key("alloc_bytes").value(p.alloc_bytes);
     w.key("alloc_by_subsystem").begin_object();
@@ -288,9 +306,9 @@ void print_point(const Point& p) {
   }
   const double denom = attributed ? static_cast<double>(attributed) : 1.0;
   std::printf("%4s %8zu %9.3f %10llu %11.0f %8.1f |", p.system, p.clients,
-              p.wall_s, static_cast<unsigned long long>(p.events()),
+              p.wall_s, static_cast<unsigned long long>(p.events),
               p.events_per_sec(),
-              static_cast<double>(p.peak_rss_kb) / 1024.0);
+              static_cast<double>(p.peak_heap_kb) / 1024.0);
   for (std::size_t i = 0; i < 5; ++i) {
     std::printf(" %4.1f%%", 100.0 * static_cast<double>(per_sub[i]) / denom);
   }
@@ -310,12 +328,12 @@ int main(int argc, char** argv) {
   std::printf("=== perf_core: simulator throughput (%s sweep) ===\n\n",
               quick ? "quick" : "full");
 #if !RTDB_PERF
-  std::printf("warning: built with RTDB_PERF=0 — event counters read 0;\n"
-              "         events/sec and the counter catalog are meaningless\n"
-              "         in this build (wall/RSS figures remain valid).\n\n");
+  std::printf("warning: built with RTDB_PERF=0 — the counter catalog and\n"
+              "         section times read 0 in this build (events, wall\n"
+              "         and heap figures remain valid).\n\n");
 #endif
   std::printf("%4s %8s %9s %10s %11s %8s | share of attributed time\n", "sys",
-              "clients", "wall (s)", "events", "events/s", "RSS MiB");
+              "clients", "wall (s)", "events", "events/s", "heap MiB");
   std::printf("%4s %8s %9s %10s %11s %8s |  sim   net  lock   txn   obs\n",
               "", "", "", "", "", "");
 

@@ -16,6 +16,11 @@
 /// treated the two identically. No iteration is offered either; every
 /// consumer does point reads/writes (the audits that need enumeration keep
 /// real tables).
+///
+/// Memory is sizeof(V) per id up to the highest one written, whatever is
+/// in use: keep it to state a system holds once (the server's versions,
+/// the auditor's ledger). State every site keeps per object it holds
+/// belongs in a FlatMap, sized by the holdings.
 
 namespace rtdb::common {
 
@@ -41,12 +46,6 @@ class DenseArray {
     const auto i = static_cast<std::size_t>(id.value());
     if (i < slots_.size()) slots_[i] = V{};
   }
-
-  /// Drops every entry (capacity kept).
-  void clear() { slots_.clear(); }
-
-  /// Backing-store extent (highest written id + 1, diagnostics only).
-  [[nodiscard]] std::size_t extent() const { return slots_.size(); }
 
  private:
   std::vector<V> slots_;

@@ -24,7 +24,16 @@ ClientNode::ClientNode(ClientServerSystem& sys, ClientId id, std::size_t index)
 }
 
 lock::LockMode ClientNode::cached_server_mode(ObjectId obj) const {
-  return server_mode_.value_or_default(obj);
+  const Copy* c = copies_.find(obj);
+  return c ? c->mode : LockMode::kNone;
+}
+
+void ClientNode::set_copy(ObjectId obj, LockMode mode, std::uint64_t version) {
+  if (mode == LockMode::kNone && version == 0) {
+    copies_.erase(obj);
+    return;
+  }
+  copies_.get_or_insert(obj) = Copy{mode, version};
 }
 
 LoadInfo ClientNode::current_load() const {
@@ -48,6 +57,18 @@ void ClientNode::validate_invariants() const {
   RTDB_CHECK(busy_slots_ <= sys_.cfg().client_executor_slots,
              "site %d runs %zu executors over the %zu-slot budget",
              site_.value(), busy_slots_, sys_.cfg().client_executor_slots);
+  // The copy table holds only what this site holds: every row is cached
+  // here or carries a cached server lock, and none is all defaults.
+  copies_.validate_invariants();
+  copies_.for_each([&](ObjectId obj, const Copy& c) {
+    RTDB_CHECK(c.mode != LockMode::kNone || c.version != 0,
+               "site %d keeps an all-default copy row for obj %u",
+               site_.value(), obj.value());
+    RTDB_CHECK(c.mode != LockMode::kNone || cache_.contains(obj),
+               "site %d keeps a copy row for obj %u, neither cached nor "
+               "locked here",
+               site_.value(), obj.value());
+  });
   // Forward duties must be consistent: a duty bound to a transaction names
   // one that is still live here.
   for (const auto& [obj, duty] : duties_) {
@@ -140,8 +161,7 @@ void ClientNode::crash() {
   std::vector<ObjectId> dirty = cache_.clear();
   std::sort(dirty.begin(), dirty.end());
   for (ObjectId obj : dirty) sys_.accounted_loss(obj);
-  server_mode_.clear();
-  version_.clear();
+  copies_.clear();
   duties_.clear();
   deferred_recalls_.clear();
   atl_.reset();
@@ -185,8 +205,7 @@ void ClientNode::on_server_crash() {
     if (duty.bound != kInvalidTxn) {
       cache_.insert(obj, /*dirty=*/false);
       if (duty.dirty) cache_.mark_dirty(obj);
-      server_mode_.slot(obj) = LockMode::kExclusive;
-      version_.slot(obj) = duty.version;
+      set_copy(obj, LockMode::kExclusive, duty.version);
     } else if (duty.dirty) {
       sys_.accounted_loss(obj);
     }
@@ -225,20 +244,22 @@ void ClientNode::on_server_restart(bool failover) {
   if (!sys_.faults_active()) return;
 
   // Grace rebuild: re-register every retained server lock under the new
-  // epoch. Iterating the dense lock-cache array walks objects in id order,
-  // so the batch (and hence the wire stream) is deterministic.
+  // epoch. The batch is sorted by object id, so it (and hence the wire
+  // stream) is deterministic whatever the copy table's slot order.
   std::vector<ReassertEntry> entries;
-  for (std::size_t i = 0; i < server_mode_.extent(); ++i) {
-    const ObjectId obj{static_cast<ObjectId::Rep>(i)};
-    const LockMode mode = cached_server_mode(obj);
-    if (mode == LockMode::kNone) continue;
+  copies_.for_each([&](ObjectId obj, const Copy& c) {
+    if (c.mode == LockMode::kNone) return;
     ReassertEntry e;
     e.object = obj;
-    e.mode = mode;
+    e.mode = c.mode;
     e.dirty = cache_.contains(obj) && cache_.is_dirty(obj);
-    e.version = version_of(obj);
+    e.version = c.version;
     entries.push_back(e);
-  }
+  });
+  std::sort(entries.begin(), entries.end(),
+            [](const ReassertEntry& a, const ReassertEntry& b) {
+              return a.object < b.object;
+            });
   sys_.sim().cancel(reassert_.timer);
   reassert_ = PendingReassert{};
   if (entries.empty()) return;
@@ -328,8 +349,7 @@ void ClientNode::expire_lease(ObjectId obj) {
   ++stats.lease_expiries;
   if (cached_server_mode(obj) == LockMode::kNone) return;  // already gone
   const bool dirty = cache_.contains(obj) && cache_.is_dirty(obj);
-  server_mode_.slot(obj) = LockMode::kNone;
-  version_.slot(obj) = 0;
+  copies_.erase(obj);
   cache_.drop(obj);
   if (dirty) sys_.accounted_loss(obj);
   // Local transactions using the object lost their data (and possibly read
@@ -446,8 +466,7 @@ void ClientNode::return_retry_fired(ObjectId obj) {
 
 void ClientNode::warm_insert(ObjectId obj) {
   cache_.insert(obj, /*dirty=*/false);
-  server_mode_.slot(obj) = LockMode::kShared;
-  version_.slot(obj) = 0;
+  set_copy(obj, LockMode::kShared, 0);
 }
 
 void ClientNode::begin(txn::Transaction t, SiteId origin, bool remote,
@@ -1331,7 +1350,7 @@ void ClientNode::commit(TxnId id) {
         sys_.auditor().on_write_commit(obj, site_, duty->second.version, now);
       } else {
         cache_.mark_dirty(obj);
-        const std::uint64_t v = ++version_.slot(obj);
+        const std::uint64_t v = ++copies_.get_or_insert(obj).version;
         sys_.auditor().on_write_commit(obj, site_, v, now);
       }
     } else {
@@ -1446,9 +1465,8 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
     // into the rebuilt table by a late re-assertion.
     cache_.insert(g.object, /*dirty=*/false);
     if (g.dirty) cache_.mark_dirty(g.object);
-    server_mode_.slot(g.object) =
-        lock::stronger(cached_server_mode(g.object), g.mode);
-    version_.slot(g.object) = g.version;
+    set_copy(g.object, lock::stronger(cached_server_mode(g.object), g.mode),
+             g.version);
     if (waiter) need_satisfied(g.txn, g.object);
     if (!server_down_) late_reassert(g.object);
     return;
@@ -1469,9 +1487,9 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
     // our SL when the list shipped) and the remainder of the list is
     // served immediately — readers overlap instead of serializing.
     cache_.insert(g.object, /*dirty=*/false);
-    server_mode_.slot(g.object) =
-        lock::stronger(cached_server_mode(g.object), LockMode::kShared);
-    version_.slot(g.object) = g.version;
+    set_copy(g.object,
+             lock::stronger(cached_server_mode(g.object), LockMode::kShared),
+             g.version);
     if (waiter) object_arrived(*waiter, g.object);
     // Pass the copy along right away (duty not bound to any transaction).
     ForwardDuty duty;
@@ -1493,8 +1511,7 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
     // our registration when it built the list, so keeping it would leave
     // a stale reader.
     cache_.drop(g.object);
-    server_mode_.slot(g.object) = LockMode::kNone;
-    version_.slot(g.object) = 0;
+    copies_.erase(g.object);
     ForwardDuty duty;
     duty.rest = std::move(g.forward_list);
     duty.dirty = g.dirty;
@@ -1517,8 +1534,7 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
   if (!g.with_data && !cache_.contains(g.object)) {
     // Benign race: our copy was evicted while the lock-only grant was in
     // flight. Keep the lock and fetch the data explicitly.
-    server_mode_.slot(g.object) =
-        lock::stronger(cached_server_mode(g.object), g.mode);
+    set_mode(g.object, lock::stronger(cached_server_mode(g.object), g.mode));
     if (waiter) {
       LockMode need_mode = g.mode;
       for (const auto& [obj, mode] : waiter->needs) {
@@ -1530,23 +1546,23 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
     return;
   }
 
+  std::uint64_t version = version_of(g.object);
   if (g.with_data) {
     // Under faults a duplicate grant (our retransmission racing the
     // original, or a server re-grant after a lost one) can arrive carrying
     // a payload older than the copy we already hold — never let it clobber
     // a dirty page or roll the local version back.
     const bool stale = sys_.faults_active() && cache_.contains(g.object) &&
-                       (cache_.is_dirty(g.object) ||
-                        version_of(g.object) > g.version);
+                       (cache_.is_dirty(g.object) || version > g.version);
     if (stale) {
       ++sys_.injector()->stats().stale_grants_ignored;
     } else {
       cache_.insert(g.object, /*dirty=*/false);
-      version_.slot(g.object) = g.version;
+      version = g.version;
     }
   }
-  server_mode_.slot(g.object) =
-      lock::stronger(cached_server_mode(g.object), g.mode);
+  set_copy(g.object, lock::stronger(cached_server_mode(g.object), g.mode),
+           version);
   if (waiter) object_arrived(*waiter, g.object);
 }
 
@@ -1701,13 +1717,12 @@ void ClientNode::process_recall(ObjectId obj, LockMode wanted) {
     // downgrade to a SL — both clients then share read access.
     ret.dirty = cache_.is_dirty(obj);
     ret.downgraded = true;
-    server_mode_.slot(obj) = LockMode::kShared;
+    set_mode(obj, LockMode::kShared);
     cache_.mark_clean(obj);
   } else {
     ret.dirty = cache_.is_dirty(obj);
     ret.downgraded = false;
-    server_mode_.slot(obj) = LockMode::kNone;
-    version_.slot(obj) = 0;
+    copies_.erase(obj);
     cache_.drop(obj);
   }
   send_return(ret);
@@ -1735,19 +1750,21 @@ void ClientNode::check_deferred_recalls(const std::vector<ObjectId>& objs) {
 
 void ClientNode::on_cache_eviction(ObjectId obj, bool dirty) {
   // The object fell out of both cache tiers: the client cannot claim the
-  // lock any longer — return it (with the update when dirty).
-  if (cached_server_mode(obj) == LockMode::kNone) return;
+  // lock any longer — return it (with the update when dirty). Its row
+  // goes either way: the object is no longer held here.
+  const Copy* row = copies_.find(obj);
+  const Copy copy = row ? *row : Copy{};
+  copies_.erase(obj);
+  if (copy.mode == LockMode::kNone) return;
   if (sys_.telemetry().events_enabled()) {
     sys_.telemetry().event(obs::EventKind::kCacheEvict, sys_.sim().now(),
                            site_, kInvalidTxn, obj, 0, dirty ? 1 : 0);
   }
-  server_mode_.slot(obj) = LockMode::kNone;
   ObjectReturn ret;
   ret.client = id_;
   ret.object = obj;
   ret.dirty = dirty;
-  ret.version = version_of(obj);
-  version_.slot(obj) = 0;
+  ret.version = copy.version;
   ret.load = current_load();
   send_return(ret);
 }

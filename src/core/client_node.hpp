@@ -3,7 +3,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/dense_map.hpp"
+#include "common/flat_hash.hpp"
 #include "core/protocol.hpp"
 #include "core/txn_table.hpp"
 #include "lock/local_lock_manager.hpp"
@@ -106,11 +106,15 @@ class ClientNode {
   [[nodiscard]] std::size_t ready_depth() const { return ready_.size(); }
   [[nodiscard]] std::size_t executing() const { return busy_slots_; }
   [[nodiscard]] std::size_t forward_duties() const { return duties_.size(); }
+  /// Rows of the copy table (objects cached or locked here).
+  [[nodiscard]] std::size_t copy_rows() const { return copies_.size(); }
 
   void reset_stats();
 
   /// Invariant audit: local lock manager, two-tier cache, ED-ready queue,
-  /// and executor-slot accounting. Aborts on violation.
+  /// executor-slot accounting, and the copy table (no all-default row, no
+  /// row for an object neither cached nor locked here). Aborts on
+  /// violation.
   void validate_invariants() const;
 
  private:
@@ -286,22 +290,32 @@ class ClientNode {
   lock::LocalLockManager llm_;
   sim::SerialResource cpu_;
 
-  /// Lock mode this client caches per object, mirroring the server's
-  /// global lock table ("clients cache the locks for objects as well").
-  /// Object ids are dense (0..db_size-1), so this is a directly-indexed
-  /// array grown on first write; an out-of-range or defaulted slot means
-  /// "no cached lock" (kNone), exactly like the absent map entry it
-  /// replaced. cached_server_mode() is the hottest single lookup in the
-  /// whole client (every need evaluation hits it) — a vector load beats
-  /// the former unordered_map probe by an order of magnitude.
-  common::DenseArray<ObjectId, lock::LockMode> server_mode_;
+  /// One row of the copy table: the server lock this client caches on an
+  /// object, mirroring the server's global lock table ("clients cache the
+  /// locks for objects as well"), and the version of its copy (consistency
+  /// auditing; see auditor.hpp).
+  struct Copy {
+    lock::LockMode mode = lock::LockMode::kNone;
+    std::uint64_t version = 0;
+  };
 
-  /// Version of each cached copy (consistency auditing; see auditor.hpp).
-  /// Same dense indexing; slot value 0 == "no recorded version".
-  common::DenseArray<ObjectId, std::uint64_t> version_;
+  /// The copy table, keyed by object and sized by what this client holds
+  /// — its cache and its cached locks — never by the database. A row that
+  /// falls back to all defaults (kNone, version 0) is erased at once, so an
+  /// absent row reads as exactly that. Versions are only consulted for
+  /// objects cached or locked here; a row for any other object is dropped.
+  /// cached_server_mode() — the hottest lookup in the client, hit by every
+  /// need evaluation — is one open-addressing probe.
+  common::FlatMap<ObjectId, Copy> copies_;
 
   [[nodiscard]] std::uint64_t version_of(ObjectId obj) const {
-    return version_.value_or_default(obj);
+    const Copy* c = copies_.find(obj);
+    return c ? c->version : 0;
+  }
+  /// Writes one row, erasing it when both fields are defaults.
+  void set_copy(ObjectId obj, lock::LockMode mode, std::uint64_t version);
+  void set_mode(ObjectId obj, lock::LockMode mode) {
+    set_copy(obj, mode, version_of(obj));
   }
 
   TxnTable<Live> live_;

@@ -413,6 +413,8 @@ std::size_t ServerNode::groupable_prefix(ObjectId obj) {
   // Length of the queue prefix a forward list could ship as one group:
   // an exclusive run (capped) optionally followed by a shared fan-out run
   // (capped); a head-of-queue shared run when the fan-out is enabled.
+  // Nothing below can retire the object's lock-table state, so `q` stays
+  // this object's queue throughout.
   auto& q = glt_.queue(obj);
   // peek_next physically drops expired entries; they must be accounted
   // (metrics + wait-for-graph teardown) or their txns leak queued records.
@@ -479,6 +481,10 @@ void ServerNode::pump_object(ObjectId obj) {
   if (glt_.is_circulating(obj)) return;
   if (windows_.count(obj) != 0) return;  // still collecting
 
+  // `q` is used only while the object's lock-table state is live: no step
+  // of an iteration retires it (grants add holders, recalls add recalls)
+  // except the forward-list branch's remove_holder_mirrored, and that
+  // branch returns without touching `q` again.
   auto& q = glt_.queue(obj);
   for (;;) {
     std::vector<lock::ForwardEntry> skipped;

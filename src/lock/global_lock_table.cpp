@@ -1,6 +1,7 @@
 #include "lock/global_lock_table.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/perf.hpp"
@@ -8,19 +9,45 @@
 namespace rtdb::lock {
 
 void GlobalLockTable::validate_invariants() const {
+  // Slot ownership: the index names exactly the tracked objects, no two of
+  // them share a state, and every other pool state is on the free list.
+  std::vector<std::uint8_t> owned(pool_.size(), 0);
+  std::size_t indexed = 0;
+  for (std::uint32_t i = 0; i < index_.size(); ++i) {
+    const std::uint32_t slot = index_[i];
+    if (slot == kNoSlot) continue;
+    RTDB_CHECK(slot < pool_.size(), "obj %u maps to slot %u past the pool",
+               i, slot);
+    RTDB_CHECK(!owned[slot], "slot %u is shared by two objects (one is %u)",
+               slot, i);
+    owned[slot] = 1;
+    ++indexed;
+  }
+  RTDB_CHECK(indexed == tracked_.size(),
+             "index maps %zu objects, tracked list names %zu", indexed,
+             tracked_.size());
+  for (const std::uint32_t slot : free_) {
+    RTDB_CHECK(slot < pool_.size(), "free slot %u past the pool", slot);
+    RTDB_CHECK(!owned[slot], "free slot %u is owned or listed twice", slot);
+    owned[slot] = 1;
+    const State& st = pool_[slot];
+    RTDB_CHECK(st.quiescent(), "free slot %u keeps state", slot);
+    RTDB_CHECK(st.queue.expired_dropped() == 0,
+               "free slot %u keeps an expiry counter", slot);
+  }
+  RTDB_CHECK(indexed + free_.size() == pool_.size(),
+             "pool holds %zu states: %zu owned, %zu free", pool_.size(),
+             indexed, free_.size());
+
   std::size_t holds_total = 0;
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    const State& st = slots_[i];
+  for (std::uint32_t pos = 0; pos < tracked_.size(); ++pos) {
+    const std::uint32_t i = tracked_[pos];
+    RTDB_CHECK(i < index_.size() && index_[i] != kNoSlot,
+               "tracked list names obj %u with no state", i);
+    const State& st = tracked_state(i);
     const ObjectId obj{i};
-    if (!st.tracked) {
-      RTDB_CHECK(st.quiescent(), "untracked obj %u keeps state", i);
-      RTDB_CHECK(st.queue.expired_dropped() == 0,
-                 "untracked obj %u keeps an expiry counter", i);
-      continue;
-    }
-    RTDB_CHECK(st.tracked_pos < tracked_.size() &&
-                   tracked_[st.tracked_pos] == i,
-               "obj %u tracked-list position is stale", i);
+    RTDB_CHECK(st.tracked_pos == pos, "obj %u tracked-list position is stale",
+               i);
     st.queue.validate_invariants();
     for (std::size_t h = 0; h < st.holders.size(); ++h) {
       const GlobalHold& hold = st.holders[h];
@@ -60,10 +87,6 @@ void GlobalLockTable::validate_invariants() const {
                  "obj %u keeps a stale circulation tail", i);
     }
   }
-  for (const std::uint32_t obj : tracked_) {
-    RTDB_CHECK(obj < slots_.size() && slots_[obj].tracked,
-               "tracked list names untracked obj %u", obj);
-  }
   // The reverse index holds exactly the (client, obj) hold pairs — nothing
   // stale, nothing missing (the forward direction was checked above).
   std::size_t indexed_total = 0;
@@ -85,21 +108,31 @@ void GlobalLockTable::validate_invariants() const {
 
 GlobalLockTable::State& GlobalLockTable::state(ObjectId obj) {
   const std::size_t i = obj.value();
-  if (i >= slots_.size()) slots_.resize(i + 1);
-  State& st = slots_[i];
-  if (!st.tracked) {
-    st.tracked = true;
-    st.tracked_pos = static_cast<std::uint32_t>(tracked_.size());
+  if (i >= index_.size()) index_.resize(i + 1, kNoSlot);
+  std::uint32_t& slot = index_[i];
+  if (slot == kNoSlot) {
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(pool_.size());
+      pool_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    pool_[slot].tracked_pos = static_cast<std::uint32_t>(tracked_.size());
     tracked_.push_back(static_cast<std::uint32_t>(i));
   }
-  return st;
+  return pool_[slot];
 }
 
 const GlobalLockTable::State* GlobalLockTable::state_if_any(
     ObjectId obj) const {
   const std::size_t i = obj.value();
-  if (i >= slots_.size() || !slots_[i].tracked) return nullptr;
-  return &slots_[i];
+  if (i >= index_.size() || index_[i] == kNoSlot) return nullptr;
+  return &pool_[index_[i]];
+}
+
+GlobalLockTable::State* GlobalLockTable::state_if_any(ObjectId obj) {
+  return const_cast<State*>(std::as_const(*this).state_if_any(obj));
 }
 
 common::FlatSet<ObjectId>& GlobalLockTable::by_client(ClientId client) {
@@ -109,18 +142,21 @@ common::FlatSet<ObjectId>& GlobalLockTable::by_client(ClientId client) {
 }
 
 void GlobalLockTable::untrack(std::uint32_t obj) {
-  State& st = slots_[obj];
+  const std::uint32_t slot = index_[obj];
+  State& st = pool_[slot];
   expired_dropped_retired_ += st.queue.expired_dropped();
   st.holders.clear();
   st.queue.reset();
   st.recalls.clear();
   st.circulating = false;
   st.circulating_last = kInvalidClient;
-  st.tracked = false;
   const std::uint32_t pos = st.tracked_pos;
   tracked_[pos] = tracked_.back();
-  slots_[tracked_[pos]].tracked_pos = pos;
+  tracked_state(tracked_[pos]).tracked_pos = pos;
   tracked_.pop_back();
+  st.tracked_pos = 0;
+  index_[obj] = kNoSlot;
+  free_.push_back(slot);
 }
 
 LockMode GlobalLockTable::holder_mode(ObjectId obj, ClientId client) const {
@@ -189,7 +225,7 @@ void GlobalLockTable::add_holder(ObjectId obj, ClientId client,
 }
 
 LockMode GlobalLockTable::remove_holder(ObjectId obj, ClientId client) {
-  State* st = const_cast<State*>(state_if_any(obj));
+  State* st = state_if_any(obj);
   if (!st) return LockMode::kNone;
   auto& hs = st->holders;
   auto h = std::find_if(hs.begin(), hs.end(), [&](const GlobalHold& g) {
@@ -206,7 +242,7 @@ LockMode GlobalLockTable::remove_holder(ObjectId obj, ClientId client) {
 }
 
 bool GlobalLockTable::downgrade_holder(ObjectId obj, ClientId client) {
-  State* st = const_cast<State*>(state_if_any(obj));
+  State* st = state_if_any(obj);
   if (!st) return false;
   for (auto& h : st->holders) {
     if (h.client == client && h.mode == LockMode::kExclusive) {
@@ -240,7 +276,7 @@ std::vector<std::pair<ObjectId, TxnId>> GlobalLockTable::entries_of_client(
     ClientId client) const {
   std::vector<std::pair<ObjectId, TxnId>> out;
   for (const std::uint32_t obj : tracked_) {
-    for (const auto& e : slots_[obj].queue.entries()) {
+    for (const auto& e : tracked_state(obj).queue.entries()) {
       if (e.client == client) out.emplace_back(ObjectId{obj}, e.txn);
     }
   }
@@ -262,7 +298,7 @@ bool GlobalLockTable::recall_pending(ObjectId obj, ClientId client) const {
 }
 
 void GlobalLockTable::clear_recall(ObjectId obj, ClientId client) {
-  State* st = const_cast<State*>(state_if_any(obj));
+  State* st = state_if_any(obj);
   if (!st) return;
   auto it = std::find(st->recalls.begin(), st->recalls.end(), client);
   if (it != st->recalls.end()) st->recalls.erase(it);
@@ -281,7 +317,7 @@ void GlobalLockTable::set_circulating(ObjectId obj, ClientId last_client) {
 }
 
 void GlobalLockTable::clear_circulating(ObjectId obj) {
-  State* st = const_cast<State*>(state_if_any(obj));
+  State* st = state_if_any(obj);
   if (!st) return;
   st->circulating = false;
   st->circulating_last = kInvalidClient;
@@ -320,16 +356,14 @@ std::size_t GlobalLockTable::conflict_count_at(
 }
 
 void GlobalLockTable::drop_if_quiescent(ObjectId obj) {
-  const std::size_t i = obj.value();
-  if (i < slots_.size() && slots_[i].tracked && slots_[i].quiescent()) {
-    untrack(static_cast<std::uint32_t>(i));
-  }
+  const State* st = state_if_any(obj);
+  if (st && st->quiescent()) untrack(obj.value());
 }
 
 void GlobalLockTable::compact() {
   for (std::size_t i = tracked_.size(); i-- > 0;) {
     const std::uint32_t obj = tracked_[i];
-    if (slots_[obj].quiescent()) untrack(obj);
+    if (tracked_state(obj).quiescent()) untrack(obj);
   }
 }
 
@@ -340,14 +374,16 @@ void GlobalLockTable::clear() {
 
 std::size_t GlobalLockTable::total_queued_entries() const {
   std::size_t total = 0;
-  for (const std::uint32_t obj : tracked_) total += slots_[obj].queue.size();
+  for (const std::uint32_t obj : tracked_) {
+    total += tracked_state(obj).queue.size();
+  }
   return total;
 }
 
 std::size_t GlobalLockTable::circulating_objects() const {
   std::size_t total = 0;
   for (const std::uint32_t obj : tracked_) {
-    if (slots_[obj].circulating) ++total;
+    if (tracked_state(obj).circulating) ++total;
   }
   return total;
 }
@@ -355,7 +391,7 @@ std::size_t GlobalLockTable::circulating_objects() const {
 std::uint64_t GlobalLockTable::total_expired_dropped() const {
   std::uint64_t total = expired_dropped_retired_;
   for (const std::uint32_t obj : tracked_) {
-    total += slots_[obj].queue.expired_dropped();
+    total += tracked_state(obj).queue.expired_dropped();
   }
   return total;
 }

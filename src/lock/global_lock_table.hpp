@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -32,12 +33,18 @@
 /// reports as the object's location.
 ///
 /// Storage: object ids are dense (the workload numbers the database
-/// 0..db_size-1), so per-object state lives in a directly-indexed slab —
-/// no hashing anywhere on the grant/release path — with a side list of
-/// *tracked* (non-retired) objects for iteration. The per-client reverse
-/// index is a flat open-addressing set per client. Iteration order of
-/// either structure never feeds an ordered decision: every consumer
-/// aggregates, audits, or sorts (see objects_held_by's caller).
+/// 0..db_size-1), so a directly-indexed 4-byte slot index maps each object
+/// to its state — no hashing anywhere on the grant/release path. The states
+/// themselves live in a pool sized by the objects *in play*, not by the
+/// database: retiring a quiescent object returns its state (capacity kept)
+/// to a free list for the next object to reuse. Pool states never move, so
+/// a reference from queue() stays valid until its object's state is
+/// retired — and no longer: the slot may then serve another object. A side
+/// list of *tracked* (non-retired) objects serves iteration. The
+/// per-client reverse index is a flat open-addressing set per client.
+/// Iteration order of either structure never feeds an ordered decision:
+/// every consumer aggregates, audits, or sorts (see objects_held_by's
+/// caller).
 
 namespace rtdb::lock {
 
@@ -95,7 +102,10 @@ class GlobalLockTable {
   // --- wait queue / next forward list ------------------------------------
 
   /// Deadline-ordered pending requests for `obj` (mutable access: the
-  /// server enqueues and harvests entries from it).
+  /// server enqueues and harvests entries from it). Creates the object's
+  /// state when absent. The reference dangles — it may name another
+  /// object's queue — once a remove_holder/clear_recall/clear_circulating/
+  /// compact/clear call retires this object's state.
   ForwardList& queue(ObjectId obj) { return state(obj).queue; }
   [[nodiscard]] const ForwardList* queue_if_any(ObjectId obj) const;
 
@@ -103,7 +113,7 @@ class GlobalLockTable {
   void for_each_queue(
       const std::function<void(ObjectId, const ForwardList&)>& fn) const {
     for (const std::uint32_t obj : tracked_) {
-      fn(ObjectId{obj}, slots_[obj].queue);
+      fn(ObjectId{obj}, tracked_state(obj).queue);
     }
   }
 
@@ -160,6 +170,10 @@ class GlobalLockTable {
     return tracked_.size();
   }
 
+  /// States ever allocated: the high-water mark of concurrently tracked
+  /// objects (diagnostics/tests).
+  [[nodiscard]] std::size_t pool_size() const { return pool_.size(); }
+
   // --- telemetry gauges -----------------------------------------------------
 
   /// Request entries queued across every object (sampler gauge).
@@ -175,7 +189,9 @@ class GlobalLockTable {
   /// modes and are pairwise compatible (the lock-mode compatibility matrix
   /// the whole callback scheme rests on); wait queues are priority-ordered;
   /// the by-client index mirrors the holder sets exactly; the tracked list
-  /// names exactly the non-retired slots. Aborts on violation.
+  /// names exactly the non-retired objects; the slot index, the pool and
+  /// its free list agree — no two objects share a state, and every free
+  /// state is untracked and quiescent. Aborts on violation.
   void validate_invariants() const;
 
  private:
@@ -184,7 +200,6 @@ class GlobalLockTable {
     ForwardList queue;
     std::vector<ClientId> recalls;  ///< deduplicated; a handful of entries
     bool circulating = false;
-    bool tracked = false;
     ClientId circulating_last = kInvalidClient;
     std::uint32_t tracked_pos = 0;  ///< index into tracked_ while tracked
 
@@ -194,18 +209,35 @@ class GlobalLockTable {
     }
   };
 
-  /// Creates/revives the slot for `obj` (the map operator[] idiom).
+  /// index_ value of an object with no state.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// Finds or creates the state for `obj` (the map operator[] idiom); a
+  /// new state takes a free pool slot before the pool grows.
   State& state(ObjectId obj);
   [[nodiscard]] const State* state_if_any(ObjectId obj) const;
+  [[nodiscard]] State* state_if_any(ObjectId obj);
+  /// State of an object on tracked_ (its index_ entry names a slot).
+  State& tracked_state(std::uint32_t obj) { return pool_[index_[obj]]; }
+  [[nodiscard]] const State& tracked_state(std::uint32_t obj) const {
+    return pool_[index_[obj]];
+  }
   void drop_if_quiescent(ObjectId obj);
-  /// Retires one tracked slot: accumulates its expiry counter, resets the
-  /// state in place (capacity kept) and swap-removes it from tracked_.
+  /// Retires one tracked object: accumulates its expiry counter, resets
+  /// the state (capacity kept), returns it to the free list and
+  /// swap-removes the object from tracked_.
   void untrack(std::uint32_t obj);
 
   common::FlatSet<ObjectId>& by_client(ClientId client);
 
-  std::vector<State> slots_;            ///< directly indexed by ObjectId
-  std::vector<std::uint32_t> tracked_;  ///< object ids of tracked slots
+  /// Pool slot of each object's state (kNoSlot: none), directly indexed
+  /// by ObjectId and grown on first touch.
+  std::vector<std::uint32_t> index_;
+  /// Every state ever allocated, at stable addresses (a deque never moves
+  /// its elements on growth).
+  std::deque<State> pool_;
+  std::vector<std::uint32_t> free_;     ///< pool slots no object owns
+  std::vector<std::uint32_t> tracked_;  ///< object ids with a state
   /// Reverse index, directly indexed by ClientId (ids are dense 1..N).
   std::vector<common::FlatSet<ObjectId>> by_client_;
 

@@ -199,5 +199,82 @@ TEST(GlobalLocks, ExpiredDroppedSurvivesStateRetirement) {
   EXPECT_EQ(glt.total_expired_dropped(), 2u);
 }
 
+TEST(GlobalLocks, QueueReferenceSurvivesOtherObjectsChurn) {
+  // A queue reference held across calls (the server's grant pump does
+  // this) must stay valid while other objects' states come and go, however
+  // far the id space grows — object states never move.
+  GlobalLockTable glt;
+  ForwardList& q = glt.queue(ObjectId{0});
+  for (std::uint32_t i = 1; i <= 100'000; ++i) {
+    glt.add_holder(ObjectId{i}, ClientId{2}, LockMode::kShared);
+    glt.remove_holder(ObjectId{i}, ClientId{2});
+  }
+  ForwardEntry e;
+  e.client = ClientId{3};
+  e.txn = TxnId{9};
+  e.mode = LockMode::kExclusive;
+  e.priority = sim::SimTime{1.0};
+  e.expires = sim::SimTime{99.0};
+  q.add(e);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(glt.queue_if_any(ObjectId{0}), &q);
+  EXPECT_EQ(glt.total_queued_entries(), 1u);
+  glt.validate_invariants();
+}
+
+TEST(GlobalLocks, PoolStaysAtConcurrentHighWaterMark) {
+  // State is sized by the objects in play, not by the database: churning
+  // 100,000 distinct objects one at a time reuses a single pooled state.
+  GlobalLockTable glt;
+  for (std::uint32_t i = 0; i < 100'000; ++i) {
+    glt.add_holder(ObjectId{i}, ClientId{2}, LockMode::kExclusive);
+    glt.mark_recall_sent(ObjectId{i}, ClientId{2});
+    glt.remove_holder(ObjectId{i}, ClientId{2});
+    glt.clear_recall(ObjectId{i}, ClientId{2});
+  }
+  EXPECT_EQ(glt.tracked_objects(), 0u);
+  EXPECT_EQ(glt.pool_size(), 1u);
+  glt.validate_invariants();
+
+  // Three objects in play at once raise the mark to three; a sliding
+  // window of three over the rest of the id space reuses those states.
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    glt.add_holder(ObjectId{i}, ClientId{2}, LockMode::kShared);
+  }
+  for (std::uint32_t i = 3; i < 100'000; ++i) {
+    glt.remove_holder(ObjectId{i - 3}, ClientId{2});
+    glt.add_holder(ObjectId{i}, ClientId{2}, LockMode::kShared);
+  }
+  EXPECT_EQ(glt.tracked_objects(), 3u);
+  EXPECT_EQ(glt.pool_size(), 3u);
+  EXPECT_EQ(glt.lock_count(ClientId{2}), 3u);
+  glt.validate_invariants();
+
+  // clear() returns every state to the pool; nothing is freed.
+  glt.clear();
+  EXPECT_EQ(glt.tracked_objects(), 0u);
+  EXPECT_EQ(glt.pool_size(), 3u);
+  glt.validate_invariants();
+}
+
+TEST(GlobalLocks, RecycledStateStartsClean) {
+  // A state retired by one object and reused by another carries nothing
+  // over: no holders, recalls, circulation or queued entries.
+  GlobalLockTable glt;
+  glt.add_holder(ObjectId{5}, ClientId{2}, LockMode::kExclusive);
+  glt.set_circulating(ObjectId{5}, ClientId{4});
+  glt.clear_circulating(ObjectId{5});
+  glt.remove_holder(ObjectId{5}, ClientId{2});
+  EXPECT_EQ(glt.tracked_objects(), 0u);
+  glt.mark_recall_sent(ObjectId{9}, ClientId{3});
+  EXPECT_EQ(glt.pool_size(), 1u);
+  EXPECT_TRUE(glt.holders(ObjectId{9}).empty());
+  EXPECT_FALSE(glt.is_circulating(ObjectId{9}));
+  EXPECT_TRUE(glt.queue(ObjectId{9}).empty());
+  EXPECT_EQ(glt.recalls_outstanding(ObjectId{9}), 1u);
+  EXPECT_EQ(glt.location_of(ObjectId{9}), kServerSite);
+  glt.validate_invariants();
+}
+
 }  // namespace
 }  // namespace rtdb::lock
