@@ -1121,7 +1121,7 @@ void ClientNode::evaluate_objects(TxnId id) {
     if (!data_local) --live->cache_ios;  // miss: no local I/O happens
 
     if (!lock_ok || !data_local) {
-      live->awaiting.insert(obj);
+      if (!live->is_awaiting(obj)) live->awaiting.push_back(obj);
       missing.push_back({obj, mode, data_local});
     }
   }
@@ -1168,7 +1168,7 @@ void ClientNode::evaluate_objects(TxnId id) {
       want_locations = false;
       ++sys_.injector()->stats().local_fallbacks;
     }
-    send_batch(*live, missing, /*auto_proceed=*/!want_locations);
+    send_batch(*live, std::move(missing), /*auto_proceed=*/!want_locations);
     // A conflict reply (if the server cannot grant everything) will be
     // dispatched to decide_placement via this marker.
     if (want_locations) live->pending_query = QueryPurpose::kConflict;
@@ -1176,26 +1176,31 @@ void ClientNode::evaluate_objects(TxnId id) {
   maybe_ready(id);
 }
 
-void ClientNode::send_batch(Live& live, const std::vector<ObjectNeed>& missing,
+void ClientNode::send_batch(Live& live, std::vector<ObjectNeed> missing,
                             bool auto_proceed, bool retransmit) {
+  const sim::SimTime now = sys_.sim().now();
+  for (const auto& need : missing) {
+    // Table 3: measure from the first request for this object.
+    const bool marked = std::any_of(
+        live.request_marks.begin(), live.request_marks.end(),
+        [&](const Live::RequestMark& m) { return m.object == need.object; });
+    if (!marked) {
+      live.request_marks.push_back({need.object, now, need.mode});
+    }
+  }
+  const std::size_t count = missing.size();
   ObjectRequestBatch batch;
   batch.txn = live.t.id;
   batch.client = id_;
   batch.deadline = live.t.deadline;
-  batch.needs = missing;
+  batch.needs = std::move(missing);
   batch.auto_proceed = auto_proceed;
   batch.retransmit = retransmit;
   batch.load = current_load();
-
-  const sim::SimTime now = sys_.sim().now();
-  for (const auto& need : missing) {
-    // Table 3: measure from the first request for this object.
-    live.request_marks.emplace(need.object,
-                               Live::RequestMark{now, need.mode});
-  }
+  // The delivery fires once, so it hands its batch over instead of copying.
   sys_.net().send_batch<net::MessageKind::kObjectRequest>(
-      id_, net::kServer, missing.size(), [this, batch = std::move(batch)] {
-        sys_.server().on_request_batch(batch);
+      id_, net::kServer, count, [this, batch = std::move(batch)]() mutable {
+        sys_.server().on_request_batch(std::move(batch));
       });
   if (sys_.faults_active()) arm_request_retry(live.t.id);
 }
@@ -1257,13 +1262,15 @@ void ClientNode::request_retry_fired(TxnId id, std::uint32_t epoch) {
     }
     again.push_back({obj, mode, cache_.contains(obj)});
   }
-  send_batch(*l, again, /*auto_proceed=*/true, /*retransmit=*/true);
+  send_batch(*l, std::move(again), /*auto_proceed=*/true,
+             /*retransmit=*/true);
 }
 
 void ClientNode::need_satisfied(TxnId id, ObjectId obj) {
   Live* live = live_.find(id);
   if (!live) return;
-  live->awaiting.erase(obj);
+  auto& aw = live->awaiting;
+  aw.erase(std::remove(aw.begin(), aw.end(), obj), aw.end());
   maybe_ready(id);
 }
 
@@ -1412,9 +1419,12 @@ void ClientNode::finish(TxnId id, txn::TxnState final_state) {
 
   // Release local locks; remember the lock set to re-check deferred recalls
   // once the lock manager has granted any local waiters.
-  const auto held = llm_.objects_held(id);
+  std::vector<ObjectId> held = std::move(held_scratch_);
+  llm_.objects_held(id, held);
   llm_.release_all(id);
   check_deferred_recalls(held);
+  held.clear();
+  held_scratch_ = std::move(held);
 
   // Circulating objects bound to this transaction move along now.
   const auto circ = live->circulating_used;  // copy: fulfil mutates duties_
@@ -1451,7 +1461,7 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
   if (via_forward) ++sys_.live_metrics().forward_list_satisfactions;
   // The live transaction still waiting on this object, if any.
   Live* waiter = live_.current(g.txn);
-  if (waiter && waiter->awaiting.count(g.object) == 0) waiter = nullptr;
+  if (waiter && !waiter->is_awaiting(g.object)) waiter = nullptr;
   const bool chaos = sys_.faults_active();
 
   if (chaos && g.circulating && !sys_.injector()->plan().warm_standby &&
@@ -1540,8 +1550,8 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
       for (const auto& [obj, mode] : waiter->needs) {
         if (obj == g.object) need_mode = mode;
       }
-      std::vector<ObjectNeed> refetch{{g.object, need_mode, false}};
-      send_batch(*waiter, refetch, /*auto_proceed=*/true);
+      send_batch(*waiter, {{g.object, need_mode, false}},
+                 /*auto_proceed=*/true);
     }
     return;
   }
@@ -1567,11 +1577,13 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
 }
 
 void ClientNode::object_arrived(Live& live, ObjectId obj) {
-  auto mark = live.request_marks.find(obj);
+  auto mark = std::find_if(
+      live.request_marks.begin(), live.request_marks.end(),
+      [&](const Live::RequestMark& m) { return m.object == obj; });
   if (mark != live.request_marks.end()) {
-    const sim::Duration rtt = sys_.sim().now() - mark->second.sent_at;
+    const sim::Duration rtt = sys_.sim().now() - mark->sent_at;
     if (sys_.is_measured(live.t)) {
-      auto& series = mark->second.mode == LockMode::kExclusive
+      auto& series = mark->mode == LockMode::kExclusive
                          ? sys_.live_metrics().object_response_exclusive
                          : sys_.live_metrics().object_response_shared;
       series.add(rtt.sec());

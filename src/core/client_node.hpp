@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -137,14 +138,24 @@ class ClientNode {
 
     std::vector<std::pair<ObjectId, lock::LockMode>> needs;
     std::size_t local_locks_pending = 0;
-    std::unordered_set<ObjectId> awaiting;  ///< waiting on the server
-    std::size_t cache_ios = 0;              ///< local disk-tier promotions
+    /// Objects waited on from the server: a set kept as a flat vector (a
+    /// handful of ids, scanned linearly; its order is never observed —
+    /// request_retry_fired sorts it).
+    std::vector<ObjectId> awaiting;
+    std::size_t cache_ios = 0;  ///< local disk-tier promotions
 
+    /// First request instant per object (Table 3), one row per object.
     struct RequestMark {
+      ObjectId object{};
       sim::SimTime sent_at{};
       lock::LockMode mode = lock::LockMode::kShared;
     };
-    std::unordered_map<ObjectId, RequestMark> request_marks;  ///< Table 3
+    std::vector<RequestMark> request_marks;
+
+    [[nodiscard]] bool is_awaiting(ObjectId obj) const {
+      return std::find(awaiting.begin(), awaiting.end(), obj) !=
+             awaiting.end();
+    }
 
     std::vector<ObjectId> circulating_used;  ///< forward-duty objects bound
     QueryPurpose pending_query = QueryPurpose::kNone;
@@ -205,7 +216,7 @@ class ClientNode {
   void admit_local(TxnId id);
   void on_local_locks(TxnId id);
   void evaluate_objects(TxnId id);
-  void send_batch(Live& live, const std::vector<ObjectNeed>& missing,
+  void send_batch(Live& live, std::vector<ObjectNeed> missing,
                   bool auto_proceed, bool retransmit = false);
   /// Arms the bounded request-retransmission timer (faults-active only).
   void arm_request_retry(TxnId id);
@@ -355,6 +366,10 @@ class ClientNode {
 
   txn::EdfQueue<TxnId> ready_;
   std::size_t busy_slots_ = 0;
+
+  /// finish()'s lock-set buffer, reused across commits (moved out for the
+  /// call, so a nested finish() takes a fresh one).
+  std::vector<ObjectId> held_scratch_;
 
   /// Observed average transaction latency (H1's ATL_A).
   sim::MeanAccumulator atl_;

@@ -127,11 +127,19 @@ void ServerNode::on_request_batch(ObjectRequestBatch batch) {
 }
 
 void ServerNode::process_batch(const ObjectRequestBatch& batch) {
+  BatchScratch s = std::move(scratch_);
+  process_batch(batch, s);
+  scratch_ = std::move(s);
+}
+
+void ServerNode::process_batch(const ObjectRequestBatch& batch,
+                               BatchScratch& s) {
   const bool chaos = sys_.faults_active();
   // Duplicate-delivery suppression (faults only): a retransmitted need
   // whose entry already waits in the object's queue must not enqueue twice
   // — it would double its wait-for edges and unbalance the queue audit.
-  std::vector<ObjectNeed> surviving;
+  std::vector<ObjectNeed>& surviving = s.surviving;
+  surviving.clear();
   if (chaos) {
     for (const auto& need : batch.needs) {
       if (request_queued(batch.txn, batch.client, need.object)) {
@@ -150,9 +158,12 @@ void ServerNode::process_batch(const ObjectRequestBatch& batch) {
   // circulating copy, or earlier waiters already queued — new arrivals
   // never jump the queue (that would starve queued writers under a steady
   // reader stream; service order is the FCFS/ED queue's business).
-  std::vector<ObjectNeed> covered;
-  std::vector<ObjectNeed> pending;
-  std::vector<ObjectNeed> conflicted;
+  std::vector<ObjectNeed>& covered = s.covered;
+  std::vector<ObjectNeed>& pending = s.pending;
+  std::vector<ObjectNeed>& conflicted = s.conflicted;
+  covered.clear();
+  pending.clear();
+  conflicted.clear();
   for (const auto& need : needs) {
     const LockMode held = glt_.holder_mode(need.object, batch.client);
     if (lock::covers(held, need.mode)) {
@@ -160,10 +171,10 @@ void ServerNode::process_batch(const ObjectRequestBatch& batch) {
       continue;
     }
     pending.push_back(need);
+    const lock::ForwardList* q = glt_.queue_if_any(need.object);
     const bool instant =
         glt_.can_grant(need.object, batch.client, need.mode) &&
-        glt_.queue(need.object).empty() &&
-        windows_.count(need.object) == 0;
+        (q == nullptr || q->empty()) && windows_.count(need.object) == 0;
     if (!instant) conflicted.push_back(need);
   }
 
@@ -204,7 +215,7 @@ void ServerNode::process_batch(const ObjectRequestBatch& batch) {
     grant_now(batch.txn, batch.client, need);
   }
   if (!pending.empty()) {
-    if (!enqueue_conflicted(batch, pending)) {
+    if (!enqueue_conflicted(batch, pending, s)) {
       return;  // deadlock admission refused the transaction
     }
   }
@@ -227,16 +238,18 @@ void ServerNode::grant_now(TxnId txn, ClientId client, const ObjectNeed& need) {
 }
 
 bool ServerNode::enqueue_conflicted(const ObjectRequestBatch& batch,
-                                    const std::vector<ObjectNeed>& conflicted) {
+                                    const std::vector<ObjectNeed>& conflicted,
+                                    BatchScratch& s) {
   // Wait-for admission: requester txn -> holder sites, plus requester's
   // own site -> txn, approximating the txn-level graph at the server's
   // client-lock granularity.
-  std::vector<lock::TxnOrClientNode> blockers;
+  std::vector<lock::TxnOrClientNode>& blockers = s.blockers;
+  blockers.clear();
   for (const auto& need : conflicted) {
-    for (ClientId holder :
-         glt_.conflicting_holders(need.object, need.mode, batch.client)) {
-      blockers.push_back(lock::TxnOrClientNode::of_client(holder));
-    }
+    glt_.for_each_conflicting(
+        need.object, need.mode, batch.client, [&](ClientId holder) {
+          blockers.push_back(lock::TxnOrClientNode::of_client(holder));
+        });
   }
   std::sort(blockers.begin(), blockers.end());
   blockers.erase(std::unique(blockers.begin(), blockers.end()),
@@ -255,8 +268,8 @@ bool ServerNode::enqueue_conflicted(const ObjectRequestBatch& batch,
     return false;
   }
   wfg_.add_edges(lock::TxnOrClientNode::of_txn(batch.txn), blockers);
-  wfg_.add_edges(lock::TxnOrClientNode::of_client(batch.client),
-                 {lock::TxnOrClientNode::of_txn(batch.txn)});
+  s.site_edge.assign(1, lock::TxnOrClientNode::of_txn(batch.txn));
+  wfg_.add_edges(lock::TxnOrClientNode::of_client(batch.client), s.site_edge);
 
   const bool ed = sys_.ls().ed_request_scheduling;
   for (const auto& need : conflicted) {
@@ -273,9 +286,12 @@ bool ServerNode::enqueue_conflicted(const ObjectRequestBatch& batch,
     note_queued(batch.txn, batch.client, need.object);
     if (sys_.telemetry().spans_enabled() || sys_.telemetry().events_enabled()) {
       SiteId holder = kInvalidSite;
-      const auto hs =
-          glt_.conflicting_holders(need.object, need.mode, batch.client);
-      if (!hs.empty()) holder = site_of(hs.front());
+      glt_.for_each_conflicting(need.object, need.mode, batch.client,
+                                [&](ClientId c) {
+                                  if (holder == kInvalidSite) {
+                                    holder = site_of(c);
+                                  }
+                                });
       if (sys_.telemetry().spans_enabled()) {
         sys_.telemetry().lock_queued(batch.txn, need.object, holder,
                                      sys_.sim().now());
@@ -295,8 +311,8 @@ bool ServerNode::enqueue_conflicted(const ObjectRequestBatch& batch,
     }
   }
   // One pump per distinct object serves whatever is instantly grantable.
-  std::vector<ObjectId> objs;
-  objs.reserve(conflicted.size());
+  std::vector<ObjectId>& objs = s.objs;
+  objs.clear();
   for (const auto& need : conflicted) objs.push_back(need.object);
   std::sort(objs.begin(), objs.end());
   objs.erase(std::unique(objs.begin(), objs.end()), objs.end());
@@ -338,7 +354,9 @@ void ServerNode::deny_txn(TxnId txn, ClientId client) {
 
 lock::LockMode ServerNode::strongest_queued_mode(ObjectId obj) {
   LockMode strongest = LockMode::kNone;
-  for (const auto& e : glt_.queue(obj).entries()) {
+  const lock::ForwardList* q = glt_.queue_if_any(obj);
+  if (q == nullptr) return strongest;
+  for (const auto& e : q->entries()) {
     strongest = lock::stronger(strongest, e.mode);
   }
   return strongest;
@@ -415,7 +433,9 @@ std::size_t ServerNode::groupable_prefix(ObjectId obj) {
   // (capped); a head-of-queue shared run when the fan-out is enabled.
   // Nothing below can retire the object's lock-table state, so `q` stays
   // this object's queue throughout.
-  auto& q = glt_.queue(obj);
+  lock::ForwardList* qp = glt_.queue_if_any(obj);
+  if (qp == nullptr) return 0;
+  auto& q = *qp;
   // peek_next physically drops expired entries; they must be accounted
   // (metrics + wait-for-graph teardown) or their txns leak queued records.
   std::vector<lock::ForwardEntry> skipped;
@@ -484,13 +504,20 @@ void ServerNode::pump_object(ObjectId obj) {
   // `q` is used only while the object's lock-table state is live: no step
   // of an iteration retires it (grants add holders, recalls add recalls)
   // except the forward-list branch's remove_holder_mirrored, and that
-  // branch returns without touching `q` again.
-  auto& q = glt_.queue(obj);
+  // branch returns without touching `q` again. An object with no state
+  // has nothing queued: asking queue() would create an idle state.
+  lock::ForwardList* qp = glt_.queue_if_any(obj);
+  if (qp == nullptr) return;
+  auto& q = *qp;
   for (;;) {
     std::vector<lock::ForwardEntry> skipped;
     const lock::ForwardEntry* head = q.peek_next(sys_.sim().now(), &skipped);
     note_skipped(skipped, obj);
-    if (!head) return;
+    if (!head) {
+      // The peek may have dropped the last (expired) entries.
+      glt_.drop_if_quiescent(obj);
+      return;
+    }
 
     // Lock grouping (paper §3.4): a travelling forward list made of an
     // exclusive run followed by a shared run.
@@ -799,8 +826,7 @@ void ServerNode::reclaim_client(ClientId client) {
   // Orphaned holds: the dead site can neither answer recalls nor return
   // copies. Its cached data (and any update it carried) died with it —
   // the crash wipe already accounted the versions.
-  std::vector<ObjectId> touched = glt_.objects_held_by(client);
-  std::sort(touched.begin(), touched.end());
+  std::vector<ObjectId> touched = glt_.objects_held_by(client);  // ascending
   for (ObjectId obj : touched) {
     remove_holder_mirrored(obj, client);
     glt_.clear_recall(obj, client);

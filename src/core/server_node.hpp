@@ -131,8 +131,23 @@ class ServerNode {
   void warm_preload(ObjectId obj) { pf_.preload(obj); }
 
  private:
+  /// Per-batch working vectors, reused across batches so the request path
+  /// allocates nothing in steady state. process_batch() moves them out of
+  /// scratch_ for its run and back afterwards, so a nested batch (none
+  /// today) would only cost fresh vectors, never clobber the outer ones.
+  struct BatchScratch {
+    std::vector<ObjectNeed> surviving;
+    std::vector<ObjectNeed> covered;
+    std::vector<ObjectNeed> pending;
+    std::vector<ObjectNeed> conflicted;
+    std::vector<lock::TxnOrClientNode> blockers;
+    std::vector<lock::TxnOrClientNode> site_edge;
+    std::vector<ObjectId> objs;
+  };
+
   /// Request processing after the per-message CPU overhead.
   void process_batch(const ObjectRequestBatch& batch);
+  void process_batch(const ObjectRequestBatch& batch, BatchScratch& s);
 
   /// Grants one need: reserves the lock and ships data (or a lock-only
   /// grant when the client holds a copy).
@@ -142,7 +157,8 @@ class ServerNode {
   /// admission test, and triggers recalls/windows. Returns false when the
   /// request was refused (deadlock) — the whole transaction is denied.
   bool enqueue_conflicted(const ObjectRequestBatch& batch,
-                          const std::vector<ObjectNeed>& conflicted);
+                          const std::vector<ObjectNeed>& conflicted,
+                          BatchScratch& s);
 
   /// Sends callbacks to every holder conflicting with the strongest queued
   /// mode (skipping holders already being recalled).
@@ -236,6 +252,7 @@ class ServerNode {
   storage::PagedFile pf_;
   sim::SerialResource cpu_;
   lock::WaitForGraph<lock::TxnOrClientNode> wfg_;
+  BatchScratch scratch_;
   std::unordered_map<ObjectId, sim::EventId> windows_;
   std::unordered_map<ClientId, LoadInfo> loads_;
 

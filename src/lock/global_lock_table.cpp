@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/perf.hpp"
+#include "common/poison.hpp"
 
 namespace rtdb::lock {
 
@@ -31,22 +32,22 @@ void GlobalLockTable::validate_invariants() const {
     RTDB_CHECK(!owned[slot], "free slot %u is owned or listed twice", slot);
     owned[slot] = 1;
     const State& st = pool_[slot];
+    common::unpoison(&st, sizeof(State));
     RTDB_CHECK(st.quiescent(), "free slot %u keeps state", slot);
     RTDB_CHECK(st.queue.expired_dropped() == 0,
                "free slot %u keeps an expiry counter", slot);
+    common::poison(&st, sizeof(State));
   }
   RTDB_CHECK(indexed + free_.size() == pool_.size(),
              "pool holds %zu states: %zu owned, %zu free", pool_.size(),
              indexed, free_.size());
 
-  std::size_t holds_total = 0;
   for (std::uint32_t pos = 0; pos < tracked_.size(); ++pos) {
     const std::uint32_t i = tracked_[pos];
     RTDB_CHECK(i < index_.size() && index_[i] != kNoSlot,
                "tracked list names obj %u with no state", i);
     const State& st = tracked_state(i);
-    const ObjectId obj{i};
-    RTDB_CHECK(st.tracked_pos == pos, "obj %u tracked-list position is stale",
+      RTDB_CHECK(st.tracked_pos == pos, "obj %u tracked-list position is stale",
                i);
     st.queue.validate_invariants();
     for (std::size_t h = 0; h < st.holders.size(); ++h) {
@@ -55,10 +56,6 @@ void GlobalLockTable::validate_invariants() const {
                  "obj %u holder %zu has no client", i, h);
       RTDB_CHECK(hold.mode != LockMode::kNone,
                  "obj %u holder client %d holds kNone", i,
-                 hold.client.value());
-      const auto c = static_cast<std::size_t>(hold.client.value());
-      RTDB_CHECK(c < by_client_.size() && by_client_[c].contains(obj),
-                 "obj %u holder client %d missing from by-client index", i,
                  hold.client.value());
       for (std::size_t j = h + 1; j < st.holders.size(); ++j) {
         const GlobalHold& o = st.holders[j];
@@ -71,7 +68,6 @@ void GlobalLockTable::validate_invariants() const {
                    o.client.value(), to_string(o.mode).data());
       }
     }
-    holds_total += st.holders.size();
     for (std::size_t r = 0; r < st.recalls.size(); ++r) {
       for (std::size_t s = r + 1; s < st.recalls.size(); ++s) {
         RTDB_CHECK(st.recalls[r] != st.recalls[s],
@@ -87,23 +83,13 @@ void GlobalLockTable::validate_invariants() const {
                  "obj %u keeps a stale circulation tail", i);
     }
   }
-  // The reverse index holds exactly the (client, obj) hold pairs — nothing
-  // stale, nothing missing (the forward direction was checked above).
-  std::size_t indexed_total = 0;
-  for (std::size_t c = 0; c < by_client_.size(); ++c) {
-    const auto& objs = by_client_[c];
-    objs.validate_invariants();
-    const ClientId client{static_cast<std::int32_t>(c)};
-    objs.for_each([&](ObjectId obj) {
-      RTDB_CHECK(holder_mode(obj, client) != LockMode::kNone,
-                 "by-client index names client %zu on obj %u without a hold",
-                 c, obj.value());
-    });
-    indexed_total += objs.size();
+}
+
+GlobalLockTable::~GlobalLockTable() {
+  // The pool destroys every state, free ones included.
+  for (const std::uint32_t slot : free_) {
+    common::unpoison(&pool_[slot], sizeof(State));
   }
-  RTDB_CHECK(indexed_total == holds_total,
-             "by-client index counts %zu holds, table has %zu", indexed_total,
-             holds_total);
 }
 
 GlobalLockTable::State& GlobalLockTable::state(ObjectId obj) {
@@ -117,6 +103,7 @@ GlobalLockTable::State& GlobalLockTable::state(ObjectId obj) {
     } else {
       slot = free_.back();
       free_.pop_back();
+      common::unpoison(&pool_[slot], sizeof(State));
     }
     pool_[slot].tracked_pos = static_cast<std::uint32_t>(tracked_.size());
     tracked_.push_back(static_cast<std::uint32_t>(i));
@@ -135,12 +122,6 @@ GlobalLockTable::State* GlobalLockTable::state_if_any(ObjectId obj) {
   return const_cast<State*>(std::as_const(*this).state_if_any(obj));
 }
 
-common::FlatSet<ObjectId>& GlobalLockTable::by_client(ClientId client) {
-  const auto i = static_cast<std::size_t>(client.value());
-  if (i >= by_client_.size()) by_client_.resize(i + 1);
-  return by_client_[i];
-}
-
 void GlobalLockTable::untrack(std::uint32_t obj) {
   const std::uint32_t slot = index_[obj];
   State& st = pool_[slot];
@@ -157,6 +138,7 @@ void GlobalLockTable::untrack(std::uint32_t obj) {
   st.tracked_pos = 0;
   index_[obj] = kNoSlot;
   free_.push_back(slot);
+  common::poison(&st, sizeof(State));
 }
 
 LockMode GlobalLockTable::holder_mode(ObjectId obj, ClientId client) const {
@@ -168,22 +150,17 @@ LockMode GlobalLockTable::holder_mode(ObjectId obj, ClientId client) const {
   return LockMode::kNone;
 }
 
-std::vector<GlobalHold> GlobalLockTable::holders(ObjectId obj) const {
+std::span<const GlobalHold> GlobalLockTable::holders(ObjectId obj) const {
   const State* st = state_if_any(obj);
-  return st ? st->holders : std::vector<GlobalHold>{};
+  if (!st) return {};
+  return {st->holders.data(), st->holders.size()};
 }
 
 std::vector<ClientId> GlobalLockTable::conflicting_holders(
     ObjectId obj, LockMode mode, ClientId requester) const {
-  RTDB_PERF_COUNT(kGltConflictScans);
   std::vector<ClientId> result;
-  const State* st = state_if_any(obj);
-  if (!st) return result;
-  for (const auto& h : st->holders) {
-    if (h.client != requester && !compatible(h.mode, mode)) {
-      result.push_back(h.client);
-    }
-  }
+  for_each_conflicting(obj, mode, requester,
+                       [&](ClientId c) { result.push_back(c); });
   return result;
 }
 
@@ -221,7 +198,6 @@ void GlobalLockTable::add_holder(ObjectId obj, ClientId client,
     }
   }
   st.holders.push_back(GlobalHold{client, mode});
-  by_client(client).insert(obj);
 }
 
 LockMode GlobalLockTable::remove_holder(ObjectId obj, ClientId client) {
@@ -235,9 +211,7 @@ LockMode GlobalLockTable::remove_holder(ObjectId obj, ClientId client) {
   RTDB_PERF_COUNT(kGltReleases);
   const LockMode mode = h->mode;
   hs.erase(h);
-  const auto c = static_cast<std::size_t>(client.value());
-  if (c < by_client_.size()) by_client_[c].erase(obj);
-  drop_if_quiescent(obj);
+  if (st->quiescent()) untrack(obj.value());
   return mode;
 }
 
@@ -254,21 +228,33 @@ bool GlobalLockTable::downgrade_holder(ObjectId obj, ClientId client) {
 }
 
 std::vector<ObjectId> GlobalLockTable::objects_held_by(ClientId client) const {
-  const auto c = static_cast<std::size_t>(client.value());
-  if (c >= by_client_.size()) return {};
   std::vector<ObjectId> out;
-  out.reserve(by_client_[c].size());
-  by_client_[c].for_each([&](ObjectId obj) { out.push_back(obj); });
+  for (const std::uint32_t obj : tracked_) {
+    for (const auto& h : tracked_state(obj).holders) {
+      if (h.client == client) out.push_back(ObjectId{obj});
+    }
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::size_t GlobalLockTable::lock_count(ClientId client) const {
-  const auto c = static_cast<std::size_t>(client.value());
-  return c < by_client_.size() ? by_client_[c].size() : 0;
+  std::size_t n = 0;
+  for (const std::uint32_t obj : tracked_) {
+    for (const auto& h : tracked_state(obj).holders) {
+      if (h.client == client) ++n;
+    }
+  }
+  return n;
 }
 
 const ForwardList* GlobalLockTable::queue_if_any(ObjectId obj) const {
   const State* st = state_if_any(obj);
+  return st ? &st->queue : nullptr;
+}
+
+ForwardList* GlobalLockTable::queue_if_any(ObjectId obj) {
+  State* st = state_if_any(obj);
   return st ? &st->queue : nullptr;
 }
 
@@ -302,7 +288,7 @@ void GlobalLockTable::clear_recall(ObjectId obj, ClientId client) {
   if (!st) return;
   auto it = std::find(st->recalls.begin(), st->recalls.end(), client);
   if (it != st->recalls.end()) st->recalls.erase(it);
-  drop_if_quiescent(obj);
+  if (st->quiescent()) untrack(obj.value());
 }
 
 std::size_t GlobalLockTable::recalls_outstanding(ObjectId obj) const {
@@ -321,7 +307,7 @@ void GlobalLockTable::clear_circulating(ObjectId obj) {
   if (!st) return;
   st->circulating = false;
   st->circulating_last = kInvalidClient;
-  drop_if_quiescent(obj);
+  if (st->quiescent()) untrack(obj.value());
 }
 
 bool GlobalLockTable::is_circulating(ObjectId obj) const {
@@ -367,9 +353,16 @@ void GlobalLockTable::compact() {
   }
 }
 
+std::size_t GlobalLockTable::quiescent_tracked() const {
+  std::size_t n = 0;
+  for (const std::uint32_t obj : tracked_) {
+    if (tracked_state(obj).quiescent()) ++n;
+  }
+  return n;
+}
+
 void GlobalLockTable::clear() {
   for (std::size_t i = tracked_.size(); i-- > 0;) untrack(tracked_[i]);
-  for (auto& objs : by_client_) objs.clear();
 }
 
 std::size_t GlobalLockTable::total_queued_entries() const {

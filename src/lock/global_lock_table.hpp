@@ -4,10 +4,12 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "common/flat_hash.hpp"
+#include "common/inline_vec.hpp"
+#include "common/perf.hpp"
 #include "common/strong_id.hpp"
 #include "lock/forward_list.hpp"
 #include "lock/modes.hpp"
@@ -39,12 +41,16 @@
 /// database: retiring a quiescent object returns its state (capacity kept)
 /// to a free list for the next object to reuse. Pool states never move, so
 /// a reference from queue() stays valid until its object's state is
-/// retired — and no longer: the slot may then serve another object. A side
-/// list of *tracked* (non-retired) objects serves iteration. The
-/// per-client reverse index is a flat open-addressing set per client.
-/// Iteration order of either structure never feeds an ordered decision:
-/// every consumer aggregates, audits, or sorts (see objects_held_by's
-/// caller).
+/// retired — and no longer: the slot may then serve another object (in
+/// `RTDB_SANITIZE=address` builds a free slot is poisoned, so such a stale
+/// reference fails loudly). A side list of *tracked* (non-retired) objects
+/// serves iteration; its order never feeds an ordered decision — every
+/// consumer aggregates, audits, or sorts. Holders and recalls live inline
+/// in the state (two holders, four recalls before a heap block), so a
+/// grant or release touches one state and nothing else. There is no
+/// per-client reverse index: the only question it answered ("what does
+/// this client hold?") is asked when a client is declared dead, and
+/// objects_held_by() answers it by scanning the tracked states.
 
 namespace rtdb::lock {
 
@@ -62,13 +68,27 @@ class GlobalLockTable {
   /// Mode `client` holds on `obj` (kNone if none).
   [[nodiscard]] LockMode holder_mode(ObjectId obj, ClientId client) const;
 
-  /// All client holds on `obj`.
-  [[nodiscard]] std::vector<GlobalHold> holders(ObjectId obj) const;
+  /// All client holds on `obj`, in grant order. The view dangles once a
+  /// hold on `obj` is added or removed.
+  [[nodiscard]] std::span<const GlobalHold> holders(ObjectId obj) const;
 
   /// Clients whose hold on `obj` conflicts with `mode` (excluding the
   /// requester itself).
   [[nodiscard]] std::vector<ClientId> conflicting_holders(
       ObjectId obj, LockMode mode, ClientId requester) const;
+
+  /// Calls fn(client) for each holder conflicting_holders() would list, in
+  /// the same order, without building the vector (one conflict scan).
+  template <typename Fn>
+  void for_each_conflicting(ObjectId obj, LockMode mode, ClientId requester,
+                            Fn&& fn) const {
+    RTDB_PERF_COUNT(kGltConflictScans);
+    const State* st = state_if_any(obj);
+    if (!st) return;
+    for (const GlobalHold& h : st->holders) {
+      if (h.client != requester && !compatible(h.mode, mode)) fn(h.client);
+    }
+  }
 
   /// True if any other holder's mode conflicts with `mode` on `obj`.
   /// Allocation-free existence test — use this instead of
@@ -92,11 +112,11 @@ class GlobalLockTable {
   /// false if the client held no EL.
   bool downgrade_holder(ObjectId obj, ClientId client);
 
-  /// Objects a client currently holds locks on (unordered; the caller
-  /// sorts when order matters).
+  /// Objects a client currently holds locks on, ascending. A scan of every
+  /// tracked state: meant for dead-client reclamation, not a hot path.
   [[nodiscard]] std::vector<ObjectId> objects_held_by(ClientId client) const;
 
-  /// Count of locks a client holds (load/diagnostics).
+  /// Count of locks a client holds (diagnostics; a scan like the above).
   [[nodiscard]] std::size_t lock_count(ClientId client) const;
 
   // --- wait queue / next forward list ------------------------------------
@@ -107,7 +127,10 @@ class GlobalLockTable {
   /// object's queue — once a remove_holder/clear_recall/clear_circulating/
   /// compact/clear call retires this object's state.
   ForwardList& queue(ObjectId obj) { return state(obj).queue; }
+  /// The queue of `obj` if it has a state — never creates one (ask this
+  /// first when the object may have nothing queued).
   [[nodiscard]] const ForwardList* queue_if_any(ObjectId obj) const;
+  [[nodiscard]] ForwardList* queue_if_any(ObjectId obj);
 
   /// Calls fn(obj, queue) for every tracked object (audits/diagnostics).
   void for_each_queue(
@@ -160,6 +183,14 @@ class GlobalLockTable {
   /// Drops empty per-object states (call after bursts of releases).
   void compact();
 
+  /// Retires `obj`'s state if it is quiescent — for callers that emptied
+  /// its queue through queue() (expired entries dropped by a peek).
+  void drop_if_quiescent(ObjectId obj);
+
+  /// Tracked states that are quiescent: what compact() would retire. The
+  /// server keeps this at zero (diagnostics/tests).
+  [[nodiscard]] std::size_t quiescent_tracked() const;
+
   /// Wipes the whole table — the server crashed and its volatile lock state
   /// is gone. Capacity is kept (slots are recycled, not freed) and the
   /// cumulative expired-drop counter survives, so post-restart telemetry
@@ -188,17 +219,23 @@ class GlobalLockTable {
   /// Invariant audit: per-object holder sets have distinct clients with real
   /// modes and are pairwise compatible (the lock-mode compatibility matrix
   /// the whole callback scheme rests on); wait queues are priority-ordered;
-  /// the by-client index mirrors the holder sets exactly; the tracked list
-  /// names exactly the non-retired objects; the slot index, the pool and
-  /// its free list agree — no two objects share a state, and every free
-  /// state is untracked and quiescent. Aborts on violation.
+  /// the tracked list names exactly the non-retired objects; the slot
+  /// index, the pool and its free list agree — no two objects share a
+  /// state, and every free state is untracked and quiescent. Aborts on
+  /// violation.
   void validate_invariants() const;
+
+  GlobalLockTable() = default;
+  /// Not copyable: free pool slots are poisoned under AddressSanitizer.
+  GlobalLockTable(const GlobalLockTable&) = delete;
+  GlobalLockTable& operator=(const GlobalLockTable&) = delete;
+  ~GlobalLockTable();
 
  private:
   struct State {
-    std::vector<GlobalHold> holders;
+    common::InlineVec<GlobalHold, 2> holders;
     ForwardList queue;
-    std::vector<ClientId> recalls;  ///< deduplicated; a handful of entries
+    common::InlineVec<ClientId, 4> recalls;  ///< deduplicated
     bool circulating = false;
     ClientId circulating_last = kInvalidClient;
     std::uint32_t tracked_pos = 0;  ///< index into tracked_ while tracked
@@ -222,13 +259,10 @@ class GlobalLockTable {
   [[nodiscard]] const State& tracked_state(std::uint32_t obj) const {
     return pool_[index_[obj]];
   }
-  void drop_if_quiescent(ObjectId obj);
   /// Retires one tracked object: accumulates its expiry counter, resets
-  /// the state (capacity kept), returns it to the free list and
+  /// the state (capacity kept), returns it to the free list (poisoned) and
   /// swap-removes the object from tracked_.
   void untrack(std::uint32_t obj);
-
-  common::FlatSet<ObjectId>& by_client(ClientId client);
 
   /// Pool slot of each object's state (kNoSlot: none), directly indexed
   /// by ObjectId and grown on first touch.
@@ -238,8 +272,6 @@ class GlobalLockTable {
   std::deque<State> pool_;
   std::vector<std::uint32_t> free_;     ///< pool slots no object owns
   std::vector<std::uint32_t> tracked_;  ///< object ids with a state
-  /// Reverse index, directly indexed by ClientId (ids are dense 1..N).
-  std::vector<common::FlatSet<ObjectId>> by_client_;
 
   /// Expired-drop counts of queues whose object state was already retired
   /// (dropped when quiescent) — keeps total_expired_dropped() cumulative.

@@ -123,9 +123,16 @@ std::size_t LocalLockManager::waiting_count(ObjectId obj) const {
 }
 
 std::vector<ObjectId> LocalLockManager::objects_held(TxnId txn) const {
+  std::vector<ObjectId> out;
+  objects_held(txn, out);
+  return out;
+}
+
+void LocalLockManager::objects_held(TxnId txn,
+                                    std::vector<ObjectId>& out) const {
+  out.clear();
   auto it = held_by_txn_.find(txn);
-  if (it == held_by_txn_.end()) return {};
-  return {it->second.begin(), it->second.end()};
+  if (it != held_by_txn_.end()) out.assign(it->second.begin(), it->second.end());
 }
 
 void LocalLockManager::blockers_into(const ObjectState& st, TxnId txn,
@@ -163,9 +170,9 @@ LocalLockManager::Outcome LocalLockManager::acquire(TxnId txn, ObjectId obj,
   RTDB_PERF_ALLOC_SCOPE(kLock);
   auto& st = objects_.get_or_insert(obj);
 
-  if (covers(held_mode(txn, obj), mode)) {
-    drop_object_if_quiescent(obj);
-    return Outcome::kGranted;
+  // A covering hold means `txn` is a holder, so the state is not idle.
+  for (const Hold& h : st.holders) {
+    if (h.txn == txn && covers(h.mode, mode)) return Outcome::kGranted;
   }
 
   // Immediate grant only when EDF order is respected: compatible with all
@@ -283,9 +290,9 @@ void LocalLockManager::pump(ObjectId obj) {
 
 void LocalLockManager::release(TxnId txn, ObjectId obj) {
   RTDB_PERF_ALLOC_SCOPE(kLock);
-  ObjectState* stp = objects_.find(obj);
-  if (stp == nullptr) return;
-  auto& st = *stp;
+  const std::size_t slot = objects_.slot_of(obj);
+  if (slot == decltype(objects_)::kNpos) return;
+  auto& st = objects_.value_at(slot);
   auto h = std::find_if(st.holders.begin(), st.holders.end(),
                         [&](const Hold& hold) { return hold.txn == txn; });
   if (h == st.holders.end()) return;
@@ -295,6 +302,11 @@ void LocalLockManager::release(TxnId txn, ObjectId obj) {
     ht->second.erase(obj);
     if (ht->second.empty()) held_by_txn_.erase(ht);
   }
+  if (st.queue.empty()) {
+    // No waiter to grant or re-edge: pump() would only drop an idle state.
+    if (st.holders.empty()) objects_.erase_at(slot);
+    return;
+  }
   pump(obj);
 }
 
@@ -302,7 +314,9 @@ void LocalLockManager::cancel_waits(TxnId txn) {
   RTDB_PERF_ALLOC_SCOPE(kLock);
   auto wt = waiting_on_.find(txn);
   if (wt == waiting_on_.end()) return;
-  const auto objs = wt->second;  // copy: we mutate the index below
+  // Copy first: the set is erased before the pumps run.
+  std::vector<ObjectId> objs = std::move(scratch_objs_);
+  objs.assign(wt->second.begin(), wt->second.end());
   waiting_on_.erase(wt);
   for (ObjectId obj : objs) {
     ObjectState* stp = objects_.find(obj);
@@ -319,6 +333,8 @@ void LocalLockManager::cancel_waits(TxnId txn) {
     // Removing a conflicting waiter from the middle can unblock the front.
     pump(obj);
   }
+  objs.clear();
+  scratch_objs_ = std::move(objs);
 }
 
 void LocalLockManager::release_all(TxnId txn) {
@@ -326,8 +342,12 @@ void LocalLockManager::release_all(TxnId txn) {
   cancel_waits(txn);
   auto ht = held_by_txn_.find(txn);
   if (ht == held_by_txn_.end()) return;
-  const auto objs = ht->second;  // copy: release() mutates the index
+  // Copy first: release() mutates the set.
+  std::vector<ObjectId> objs = std::move(scratch_objs_);
+  objs.assign(ht->second.begin(), ht->second.end());
   for (ObjectId obj : objs) release(txn, obj);
+  objs.clear();
+  scratch_objs_ = std::move(objs);
   graph_.remove_node(txn);
 }
 

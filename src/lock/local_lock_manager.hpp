@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/flat_hash.hpp"
+#include "common/inline_vec.hpp"
 #include "common/small_function.hpp"
 #include "common/strong_id.hpp"
 #include "lock/modes.hpp"
@@ -78,6 +79,9 @@ class LocalLockManager {
 
   /// All locks held by `txn`.
   [[nodiscard]] std::vector<ObjectId> objects_held(TxnId txn) const;
+  /// The same list written into `out` (cleared first), so a caller on the
+  /// commit path can reuse one buffer.
+  void objects_held(TxnId txn, std::vector<ObjectId>& out) const;
 
   /// True when no locks are held and no requests wait (quiescent).
   [[nodiscard]] bool idle() const { return objects_.empty(); }
@@ -112,7 +116,8 @@ class LocalLockManager {
     std::vector<TxnId> edges;  ///< blockers currently charged in the graph
   };
   struct ObjectState {
-    std::vector<Hold> holders;
+    /// Nearly always one holder: it lives in the state, not a heap block.
+    common::InlineVec<Hold, 1> holders;
     // EDF order. A vector, not a deque: queues are short (front-erase is a
     // small memmove) and a default-constructed deque heap-allocates its
     // spine, which would tax every slot of the flat table's rehash.
@@ -145,9 +150,11 @@ class LocalLockManager {
   /// Per-object lock state in a flat open-addressing table (hot: every
   /// acquire/release probes it). Iteration only feeds the invariant audit,
   /// which is order-independent. The per-txn indexes below deliberately
-  /// stay `unordered_*`: release_all/cancel_waits iterate copies of them
-  /// and fire grant callbacks in that order, so swapping the container
-  /// would reorder observable protocol traffic.
+  /// stay `unordered_*`: release_all/cancel_waits walk them and fire
+  /// grant callbacks in that order, and
+  /// ClientNode::finish re-checks deferred recalls in objects_held() order,
+  /// so swapping or sorting the container would reorder observable
+  /// protocol traffic.
   common::FlatMap<ObjectId, ObjectState> objects_;
   std::unordered_map<TxnId, std::unordered_set<ObjectId>> held_by_txn_;
   std::unordered_map<TxnId, std::unordered_set<ObjectId>> waiting_on_;
@@ -156,6 +163,12 @@ class LocalLockManager {
   /// manager is single-threaded and neither path re-enters before its last
   /// read of the buffer).
   std::vector<TxnId> scratch_blockers_;
+  /// release_all/cancel_waits copy the per-txn set here before walking
+  /// it (the walk mutates the set). A call moves the buffer out for its
+  /// walk and back afterwards, so a nested call (a grant callback
+  /// releasing another transaction) gets a fresh vector instead of
+  /// clobbering the outer one.
+  std::vector<ObjectId> scratch_objs_;
   sim::Counter grants_;
   sim::Counter waits_;
   sim::Counter deadlocks_;
