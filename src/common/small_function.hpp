@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -150,7 +151,7 @@ class SmallFunction<R(Args...), Capacity> {
   }
 
   /// Destroys the target (returning any overflow block to the pool) and
-  /// becomes empty.
+  /// becomes empty. A trivial inline target has nothing to destroy.
   void reset() {
     if (manage_ != nullptr) manage_(Op::kDestroy, obj_, nullptr);
     obj_ = nullptr;
@@ -162,6 +163,12 @@ class SmallFunction<R(Args...), Capacity> {
   /// given capture shape is allocation-free).
   [[nodiscard]] bool is_inline() const {
     return obj_ == static_cast<const void*>(buf_);
+  }
+
+  /// True when the target is inline and trivially copyable: moves copy the
+  /// buffer and destruction is a no-op (test seam).
+  [[nodiscard]] bool is_trivial() const {
+    return call_ != nullptr && manage_ == nullptr;
   }
 
  private:
@@ -188,7 +195,16 @@ class SmallFunction<R(Args...), Capacity> {
     call_ = [](void* obj, Args&&... args) -> R {
       return (*static_cast<D*>(obj))(std::forward<Args>(args)...);
     };
-    manage_ = &manage_impl<D, kInline>;
+    // A trivially copyable inline capture (ids, times, `this`) needs no
+    // manager: moving it is a copy of the buffer and destroying it is a
+    // no-op, so neither costs an indirect call.
+    if constexpr (kInline && std::is_trivially_copyable_v<D> &&
+                  std::is_trivially_destructible_v<D>) {
+      manage_ = nullptr;
+      trivial_bytes_ = std::is_empty_v<D> ? 0 : sizeof(D);
+    } else {
+      manage_ = &manage_impl<D, kInline>;
+    }
   }
 
   template <class D, bool Inline>
@@ -211,8 +227,14 @@ class SmallFunction<R(Args...), Capacity> {
   }
 
   void move_from(SmallFunction& other) noexcept {
-    if (other.manage_ == nullptr) return;
-    other.manage_(Op::kMoveDestroy, other.obj_, this);
+    if (other.call_ == nullptr) return;
+    if (other.manage_ == nullptr) {
+      std::memcpy(buf_, other.buf_, other.trivial_bytes_);
+      trivial_bytes_ = other.trivial_bytes_;
+      obj_ = buf_;
+    } else {
+      other.manage_(Op::kMoveDestroy, other.obj_, this);
+    }
     call_ = other.call_;
     manage_ = other.manage_;
     other.obj_ = nullptr;
@@ -224,6 +246,8 @@ class SmallFunction<R(Args...), Capacity> {
   void* obj_ = nullptr;
   Call call_ = nullptr;
   Manage manage_ = nullptr;
+  /// Size of a trivial inline target (the bytes a move copies).
+  std::uint32_t trivial_bytes_ = 0;
 };
 
 }  // namespace rtdb::common

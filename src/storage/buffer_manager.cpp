@@ -98,16 +98,29 @@ bool LruBuffer<Id>::reference(Id id) {
 }
 
 template <class Id>
+bool LruBuffer<Id>::reference_if_resident(Id id, bool dirty) {
+  const std::uint32_t* slot = index_.find(id);
+  if (slot == nullptr) return false;
+  hits_.inc();
+  touch(*slot);
+  if (dirty) frames_[*slot].dirty = true;
+  return true;
+}
+
+template <class Id>
 std::optional<typename LruBuffer<Id>::Evicted> LruBuffer<Id>::insert(
     Id id, bool dirty) {
-  if (const std::uint32_t* slot = index_.find(id)) {
-    touch(*slot);
-    Frame& f = frames_[*slot];
+  // One probe finds or claims the index entry; the LRU victim (never the
+  // new id, which is not linked yet) leaves the index after it.
+  const auto [index_slot, inserted] = index_.try_emplace(id);
+  if (!inserted) {
+    touch(*index_slot);
+    Frame& f = frames_[*index_slot];
     f.dirty = f.dirty || dirty;
     return std::nullopt;
   }
   std::optional<Evicted> evicted;
-  if (index_.size() >= capacity_) {
+  if (index_.size() > capacity_) {
     const std::uint32_t victim = tail_;
     Frame& v = frames_[victim];
     evicted = Evicted{v.id, v.dirty};
@@ -127,7 +140,7 @@ std::optional<typename LruBuffer<Id>::Evicted> LruBuffer<Id>::insert(
   frames_[slot].id = id;
   frames_[slot].dirty = dirty;
   link_front(slot);
-  index_.get_or_insert(id) = slot;
+  *index_slot = slot;
   return evicted;
 }
 
@@ -147,14 +160,14 @@ bool LruBuffer<Id>::is_dirty(Id id) const {
 
 template <class Id>
 std::optional<bool> LruBuffer<Id>::erase(Id id) {
-  const std::uint32_t* slot = index_.find(id);
-  if (slot == nullptr) return std::nullopt;
-  const std::uint32_t s = *slot;
+  const std::size_t at = index_.slot_of(id);
+  if (at == decltype(index_)::kNpos) return std::nullopt;
+  const std::uint32_t s = index_.value_at(at);
+  index_.erase_at(at);
   const bool dirty = frames_[s].dirty;
   unlink(s);
   frames_[s].next = free_head_;
   free_head_ = s;
-  index_.erase(id);
   return dirty;
 }
 

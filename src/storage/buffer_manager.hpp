@@ -50,6 +50,11 @@ class LruBuffer {
   /// Returns true on hit.
   bool reference(Id id);
 
+  /// One-probe hit path: if `id` is resident, references it (a hit,
+  /// promoted to MRU), marks it dirty when `dirty`, and returns true. A
+  /// non-resident id returns false and counts nothing.
+  bool reference_if_resident(Id id, bool dirty);
+
   /// Makes `id` resident (MRU), evicting the LRU entry if the pool is full.
   /// No-op (recency bump) if already resident. Returns the eviction, if any.
   std::optional<Evicted> insert(Id id, bool dirty = false);

@@ -23,41 +23,28 @@ void ClientCache::place_in_memory(ObjectId id, bool dirty) {
 
 bool ClientCache::access(ObjectId id, bool write, sim::Simulator::Callback done) {
   assert(done);
-  switch (tier_of(id)) {
-    case CacheTier::kMemory: {
-      hits_.inc();
-      memory_.reference(id);
-      if (write) memory_.mark_dirty(id);
-      sim_.after(config_.memory_access_time, std::move(done));
-      return true;
-    }
-    case CacheTier::kDisk: {
-      hits_.inc();
-      const bool was_dirty = disk_tier_.is_dirty(id);
-      disk_tier_.erase(id);
-      place_in_memory(id, was_dirty || write);
-      disk_.read(std::move(done));
-      return true;
-    }
-    case CacheTier::kNone:
-      misses_.inc();
-      return false;
+  // One probe per tier: the memory tier's lookup is also its hit, and the
+  // disk tier's lookup is also its removal.
+  if (memory_.reference_if_resident(id, write)) {
+    hits_.inc();
+    sim_.after(config_.memory_access_time, std::move(done));
+    return true;
   }
-  return false;  // unreachable
+  if (const std::optional<bool> was_dirty = disk_tier_.erase(id)) {
+    hits_.inc();
+    place_in_memory(id, *was_dirty || write);
+    disk_.read(std::move(done));
+    return true;
+  }
+  misses_.inc();
+  return false;
 }
 
 void ClientCache::insert(ObjectId id, bool dirty) {
-  if (tier_of(id) != CacheTier::kNone) {
-    // Already cached (e.g. re-granted lock on a resident object): refresh
-    // recency and dirty state in place.
-    if (memory_.contains(id)) {
-      memory_.reference(id);
-      if (dirty) memory_.mark_dirty(id);
-    } else if (dirty) {
-      disk_tier_.mark_dirty(id);
-    }
-    return;
-  }
+  // Already cached (e.g. re-granted lock on a resident object): refresh
+  // recency (memory tier) and dirty state in place.
+  if (memory_.reference_if_resident(id, dirty)) return;
+  if (dirty ? disk_tier_.mark_dirty(id) : disk_tier_.contains(id)) return;
   place_in_memory(id, dirty);
 }
 

@@ -156,6 +156,43 @@ TEST(Zipf, SamplesAlwaysInRange) {
   for (int i = 0; i < 10000; ++i) EXPECT_LT(z.sample(rng), 7u);
 }
 
+// The guide table only narrows the search: every draw must land on exactly
+// the rank std::lower_bound over the whole CDF gives (the CDF rebuilt here
+// with the constructor's arithmetic), or every Zipf workload would shift.
+TEST(Zipf, GuidedSampleEqualsFullLowerBound) {
+  struct Case {
+    std::size_t n;
+    double theta;
+  };
+  for (const Case c : {Case{1, 0.86}, Case{2, 0.0}, Case{7, 2.0},
+                       Case{1000, 0.86}, Case{9'500, 0.8},
+                       Case{100'000, 0.0}, Case{100'000, 1.2}}) {
+    ZipfDistribution z(c.n, c.theta);
+    std::vector<double> cdf(c.n);
+    double acc = 0;
+    for (std::size_t k = 0; k < c.n; ++k) {
+      acc += 1.0 / std::pow(static_cast<double>(k + 1), c.theta);
+      cdf[k] = acc;
+    }
+    for (auto& v : cdf) v /= acc;
+    cdf.back() = 1.0;
+    Rng draws(c.n), mirror(c.n);
+    for (int i = 0; i < 20000; ++i) {
+      const double u = mirror.uniform01();
+      const auto want = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      ASSERT_EQ(z.sample(draws), want)
+          << "n=" << c.n << " theta=" << c.theta << " u=" << u;
+    }
+    // Bucket edges exactly: u = j / 2^k hits the guide boundaries.
+    for (const double u : {0.0, 0.25, 0.5, 0.75, 0x1.fffffffffffffp-1}) {
+      const auto want = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      EXPECT_EQ(z.rank_of(u), want) << "n=" << c.n << " u=" << u;
+    }
+  }
+}
+
 TEST(Zipf, HigherThetaMoreSkew) {
   ZipfDistribution mild(1000, 0.5), sharp(1000, 1.5);
   EXPECT_LT(mild.pmf(0), sharp.pmf(0));
