@@ -125,6 +125,7 @@ void CentralizedSystem::admit(txn::Transaction txn) {
   }
   Live& ref = live_.emplace(id);
   ref.t = std::move(txn);
+  ref.needs = ref.t.lock_needs();
   ref.t.state = txn::TxnState::kAcquiring;
   ref.deadline_timer =
       sim_.at(ref.t.deadline, [this, id] { handle_deadline(id); });
@@ -133,7 +134,7 @@ void CentralizedSystem::admit(txn::Transaction txn) {
 
 void CentralizedSystem::acquire_locks(Live& live) {
   const TxnId id = live.t.id;
-  const auto needs = live.t.lock_needs();
+  const auto& needs = live.needs;
   live.locks_pending = needs.size();
   const std::uint32_t epoch = live.epoch;
   for (const auto& [obj, mode] : needs) {
@@ -205,7 +206,7 @@ void CentralizedSystem::on_all_locks(TxnId id) {
   if (!live) return;
   // All locks held: fault in the pages (buffer hits are near-free, misses
   // queue on the server disk).
-  const auto needs = live->t.lock_needs();
+  const auto& needs = live->needs;
   live->ios_pending = needs.size();
   const sim::SimTime io_start = sim_.now();
   for (const auto& [obj, mode] : needs) {
@@ -274,7 +275,7 @@ void CentralizedSystem::commit(TxnId id) {
   observed_length_.add(live->t.length.sec());
   // Version bookkeeping for the consistency audit (single-site locking
   // makes this trivially serial, which is exactly what the audit confirms).
-  for (const auto& [obj, mode] : live->t.lock_needs()) {
+  for (const auto& [obj, mode] : live->needs) {
     if (mode == lock::LockMode::kExclusive) {
       auditor().on_write_commit(obj, kServerSite, ++versions_.slot(obj),
                                 sim_.now());

@@ -27,6 +27,29 @@ TEST(ClientServer, AccountsEveryTransaction) {
   EXPECT_TRUE(m.accounted()) << summarize(m);
 }
 
+// The server only keeps lock-table state for objects in play: every
+// request path asks before creating a state, and every path that empties
+// a queue retires a state left idle. So at the end of a run there is
+// nothing for GlobalLockTable::compact() to retire — under contention and
+// under uniform access to a large database alike.
+TEST(ClientServer, RunLeavesNoIdleLockTableStates) {
+  SystemConfig contended = small_cfg(12, 20.0);
+  SystemConfig uniform = small_cfg(20, 1.0);
+  uniform.workload.db_size = 100'000;
+  uniform.workload.locality = 0.0;
+  uniform.workload.zipf_theta = 0.0;
+  for (const SystemConfig& cfg : {contended, uniform}) {
+    ClientServerSystem sys(cfg);
+    const RunMetrics m = sys.run();
+    EXPECT_TRUE(m.accounted()) << summarize(m);
+    const auto& glt = sys.server().lock_table();
+    EXPECT_GT(glt.tracked_objects(), 0u);  // cached SLs stay registered
+    EXPECT_EQ(glt.quiescent_tracked(), 0u)
+        << glt.quiescent_tracked() << " of " << glt.tracked_objects()
+        << " tracked states are idle";
+  }
+}
+
 TEST(ClientServer, DeterministicForSeed) {
   const auto a = run_cs(small_cfg(8));
   const auto b = run_cs(small_cfg(8));

@@ -4,7 +4,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <map>
+#include <utility>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace rtdb::sim {
 namespace {
@@ -225,6 +230,61 @@ TEST(EventQueue, RescheduleAfterCancelChurnKeepsInvariants) {
   while (!q.empty()) (void)q.pop();
   for (const EventId id : stale) EXPECT_FALSE(q.cancel(id));
   q.validate_invariants();
+}
+
+// Property: whatever the interleaving of schedules, cancellations and pops
+// — with timestamps drawn from a handful of values so ties dominate — every
+// pop yields the live event with the smallest (time, schedule order), the
+// order a sorted reference model gives. Several heap shapes (the 4-ary
+// sift's full and partial child groups) are exercised across the seeds.
+TEST(EventQueue, RandomTiedSchedulesPopInSortedTimeSeqOrder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    // (time, schedule order) -> (tag, id): the model of the live events.
+    std::map<std::pair<double, std::uint64_t>, std::pair<int, EventId>> model;
+    std::vector<int> fired;
+    std::uint64_t order = 0;
+    double now = 0;
+    int next_tag = 0;
+    const int steps = 400 + static_cast<int>(seed) * 40;
+    for (int step = 0; step < steps; ++step) {
+      const std::uint64_t r = rng.uniform_int(0, 9);
+      if (r < 5 || model.empty()) {
+        // At most four distinct instants ahead: many equal timestamps.
+        const double at = now + 0.5 * static_cast<double>(rng.uniform_int(0, 3));
+        const int tag = next_tag++;
+        const EventId id =
+            q.schedule(SimTime{at}, [&fired, tag] { fired.push_back(tag); });
+        model.emplace(std::make_pair(at, order++), std::make_pair(tag, id));
+      } else if (r < 7) {
+        auto victim = model.begin();
+        std::advance(victim, static_cast<std::ptrdiff_t>(
+                                 rng.uniform_int(0, model.size() - 1)));
+        ASSERT_TRUE(q.cancel(victim->second.second));
+        model.erase(victim);
+      } else {
+        ASSERT_FALSE(q.empty());
+        ASSERT_EQ(q.next_time(), SimTime{model.begin()->first.first});
+        auto ev = q.pop();
+        EXPECT_EQ(ev.time, SimTime{model.begin()->first.first});
+        ev.fn();
+        ASSERT_FALSE(fired.empty());
+        EXPECT_EQ(fired.back(), model.begin()->second.first)
+            << "seed " << seed << " step " << step;
+        now = model.begin()->first.first;
+        model.erase(model.begin());
+      }
+      ASSERT_EQ(q.size(), model.size());
+    }
+    while (!model.empty()) {
+      q.pop().fn();
+      EXPECT_EQ(fired.back(), model.begin()->second.first) << "seed " << seed;
+      model.erase(model.begin());
+    }
+    EXPECT_TRUE(q.empty());
+    q.validate_invariants();
+  }
 }
 
 }  // namespace
