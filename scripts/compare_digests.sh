@@ -14,61 +14,47 @@ if [ ! -x "$VERIFY" ]; then
   exit 2
 fi
 
+status=0
+
+# check_group LABEL FILTER ARGS EXTRACT NOTE: the golden lines whose name
+# matches the awk condition FILTER against `rtdb_verify ARGS` piped through
+# the awk program EXTRACT; NOTE says what drift in this group means.
+check_group() {
+  local golden actual
+  golden=$(grep -v '^#' scripts/golden_digests.txt | awk "NF && ($2) {print \$1, \$2}")
+  [ -n "$golden" ] || return 0
+  # shellcheck disable=SC2086  # ARGS is a flag list, split on purpose
+  actual=$("$VERIFY" $3 | awk "$4")
+  if [ "$actual" != "$golden" ]; then
+    echo "compare_digests: $1 digest drift detected" >&2
+    diff <(printf '%s\n' "$golden") <(printf '%s\n' "$actual") >&2
+    echo "(golden on the left, this build on the right; $5)" >&2
+    status=1
+  else
+    echo "compare_digests: all $1 digests match golden"
+  fi
+}
+
+# digest_of WORD SUFFIX: an extractor printing `<name>SUFFIX <digest>` for
+# each line whose proof column is WORD.
+digest_of() {
+  echo "\$3 == \"$1\" {for (i = 4; i <= NF; ++i) if (\$i ~ /^digest=/) print \$2 \"$2\", substr(\$i, 8)}"
+}
+
 # Fault-free lines carry no ':'; chaos lines are <prototype>:<schedule>.
-actual=$("$VERIFY" | awk '/determinism/ {sub(/^digest=/, "", $4); print $2, $4}')
-golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 !~ /:/ {print $1, $2}')
-
-if [ "$actual" != "$golden" ]; then
-  echo "compare_digests: determinism digest drift detected" >&2
-  diff <(printf '%s\n' "$golden") <(printf '%s\n' "$actual") >&2
-  echo "(golden on the left, this build on the right;" \
-       "update scripts/golden_digests.txt only for intended behavior changes)" >&2
-  exit 1
-fi
-echo "compare_digests: all prototype digests match golden"
-
-chaos_golden=$(grep -v '^#' scripts/golden_digests.txt |
-  awk 'NF && $1 ~ /:/ && $1 !~ /:server-/ && $1 !~ /:telemetry$/ {print $1, $2}')
-if [ -n "$chaos_golden" ]; then
-  chaos_actual=$("$VERIFY" --chaos | awk '/ chaos /  {sub(/^digest=/, "", $4); print $2, $4}')
-  if [ "$chaos_actual" != "$chaos_golden" ]; then
-    echo "compare_digests: chaos digest drift detected" >&2
-    diff <(printf '%s\n' "$chaos_golden") <(printf '%s\n' "$chaos_actual") >&2
-    echo "(golden on the left, this build on the right; chaos digests fold the" \
-         "fault/recovery counters — drift means injection or recovery changed)" >&2
-    exit 1
-  fi
-  echo "compare_digests: all chaos digests match golden"
-fi
-
-server_golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 ~ /:server-/ {print $1, $2}')
-if [ -n "$server_golden" ]; then
-  server_actual=$("$VERIFY" --chaos-server | awk '/ chaos /  {sub(/^digest=/, "", $4); print $2, $4}')
-  if [ "$server_actual" != "$server_golden" ]; then
-    echo "compare_digests: server-chaos digest drift detected" >&2
-    diff <(printf '%s\n' "$server_golden") <(printf '%s\n' "$server_actual") >&2
-    echo "(golden on the left, this build on the right; server-chaos digests" \
-         "cover the crash/epoch-recovery/standby paths)" >&2
-    exit 1
-  fi
-  echo "compare_digests: all server-chaos digests match golden"
-fi
-
-# Telemetry lines are <prototype>:telemetry: the span+event+sample digest of
-# an instrumented run (rtdb_verify --mode telemetry). Drift means the trace
-# itself changed — a moved, added or dropped event — even when the outcome
-# digests above are untouched.
-tel_golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 ~ /:telemetry$/ {print $1, $2}')
-if [ -n "$tel_golden" ]; then
-  tel_actual=$("$VERIFY" --mode telemetry | awk '/ telemetry / {
-    for (i = 3; i <= NF; ++i) if ($i ~ /^digest=/) print $2 ":telemetry", substr($i, 8)
-  }')
-  if [ "$tel_actual" != "$tel_golden" ]; then
-    echo "compare_digests: telemetry digest drift detected" >&2
-    diff <(printf '%s\n' "$tel_golden") <(printf '%s\n' "$tel_actual") >&2
-    echo "(golden on the left, this build on the right; telemetry digests" \
-         "fold every span, typed event and gauge sample)" >&2
-    exit 1
-  fi
-  echo "compare_digests: all telemetry digests match golden"
-fi
+check_group determinism '$1 !~ /:/' "" "$(digest_of determinism "")" \
+  "update scripts/golden_digests.txt only for intended behavior changes"
+check_group chaos '$1 ~ /:/ && $1 !~ /:(server-|telemetry$|perf$)/' --chaos \
+  "$(digest_of chaos "")" \
+  "chaos digests fold the fault/recovery counters — drift means injection or recovery changed"
+check_group server-chaos '$1 ~ /:server-/' --chaos-server "$(digest_of chaos "")" \
+  "server-chaos digests cover the crash/epoch-recovery/standby paths"
+# Telemetry drift means the trace itself changed — a moved, added or dropped
+# event — even when the outcome digests above are untouched.
+check_group telemetry '$1 ~ /:telemetry$/' "--mode telemetry" \
+  "$(digest_of telemetry :telemetry)" \
+  "telemetry digests fold every span, typed event and gauge sample"
+# Perf drift means an instrumented path ran a different number of times.
+check_group perf '$1 ~ /:perf$/' "--mode perf" "$(digest_of perf :perf)" \
+  "perf digests fold every perf counter — drift means the counter catalog changed"
+exit $status

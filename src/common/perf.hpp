@@ -23,7 +23,7 @@
 ///    paths (EventQueue push/pop, Network::send).
 ///  * section timers — runtime-gated. Disabled (the default) they cost one
 ///    branch; enabled they read the installed wall clock twice per scope.
-///    Only the perf harness, `rtdbctl --perf-report` and rtdb_verify's
+///    Only perfbench's traced pass, `rtdbctl --perf-report` and rtdb_verify's
 ///    passivity proof arm them.
 ///
 /// Passivity contract (proven by `rtdb_verify --mode perf`): counters and
@@ -191,13 +191,13 @@ constexpr const char* subsystem_of(Section s) {
 }
 
 /// Allocation-attribution scopes. Subsystem entry points mark themselves
-/// with RTDB_PERF_ALLOC_SCOPE so a counting allocator (bench/perf_core.cpp
-/// replaces global operator new in its own TU) can bucket every heap
-/// allocation by the subsystem that was on the stack. Always-on — one byte
-/// store on entry and exit — because the census must not depend on the
-/// runtime-gated section timers being armed. Like the counters, the scope
-/// cell is write-only for the simulation itself: nothing in src/ reads it,
-/// so it cannot affect determinism.
+/// with RTDB_PERF_ALLOC_SCOPE so a counting allocator (perfbench/census.cpp
+/// and tests/alloc replace global operator new in their own TUs) can bucket
+/// every heap allocation by the subsystem that was on the stack. Always-on
+/// — one byte store on entry and exit — because the census must not depend
+/// on the runtime-gated section timers being armed. Like the counters, the
+/// scope cell is write-only for the simulation itself: nothing in src/
+/// reads it, so it cannot affect determinism.
 enum class AllocScopeId : std::uint8_t {
   kSim = 0,
   kNet,

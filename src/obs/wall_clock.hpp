@@ -13,7 +13,8 @@
 /// through this one struct so (a) the lint suppression below is the only
 /// one in the tree, (b) results are write-only diagnostics that never feed
 /// back into simulation decisions, and (c) grep for WallClock finds every
-/// consumer (obs::perf timing, bench/perf_core, rtdbctl --perf-report).
+/// consumer (obs::perf timing, which rtdbctl --perf-report and perfbench
+/// arm).
 
 namespace rtdb::obs {
 

@@ -25,7 +25,7 @@ std::vector<std::pair<ObjectId, lock::LockMode>> Transaction::lock_needs()
   // Sort-and-coalesce in the output vector itself: same object-ordered,
   // stronger-mode-merged result the former std::map produced, without a
   // tree-node allocation per operation (this runs once per admission and
-  // showed up at ~10% of wall in the perf_core profile).
+  // showed up at ~10% of wall in a throughput profile).
   std::vector<std::pair<ObjectId, lock::LockMode>> needs;
   needs.reserve(ops.size());
   for (const auto& op : ops) needs.emplace_back(op.object, op.mode());

@@ -29,7 +29,9 @@
 ///    (same seed, same counts — perf counters are simulation facts, not
 ///    wall-clock facts). With RTDB_PERF compiled out the digest comparison
 ///    still holds trivially; with it compiled in the proof also demands the
-///    instrumentation is live (events were actually counted).
+///    instrumentation is live (events were actually counted). Its printed
+///    digest folds the whole counter catalog into the run digest, and
+///    scripts/golden_digests.txt pins it per prototype.
 ///
 /// Exits 0 only when every requested proof holds; violations are printed
 /// with enough detail to start debugging. The periodic structure audit
@@ -339,6 +341,12 @@ bool prove_perf(core::SystemKind kind, const Run& first,
     return false;
   }
 #endif
+  // The run digest plus every counter in enum order: the `<proto>:perf`
+  // golden lines pin the counter catalog, so an extra or missing count on
+  // any instrumented path shows up even when every outcome holds still.
+  Digest d;
+  d.u64(p1.digest);
+  for (const std::uint64_t v : s1.counters) d.u64(v);
   std::printf(
       "PASS  %-13s perf         events=%llu msgs=%llu grants=%llu "
       "digest=%016llx\n",
@@ -347,7 +355,7 @@ bool prove_perf(core::SystemKind kind, const Run& first,
           s1.counter(perf::Counter::kSimEventsFired)),
       static_cast<unsigned long long>(s1.counter(perf::Counter::kNetMessages)),
       static_cast<unsigned long long>(s1.counter(perf::Counter::kGltGrants)),
-      static_cast<unsigned long long>(p1.digest));
+      static_cast<unsigned long long>(d.value()));
   return true;
 }
 

@@ -175,7 +175,7 @@ void usage() {
       "                              are requested)\n"
       "  --perf-report               after the sweep, print the perf\n"
       "                              counter/section-timer summary (the\n"
-      "                              layer bench/perf_core measures; arms\n"
+      "                              layer perfbench/ measures; arms\n"
       "                              wall-clock section timing)\n"
       "  --perf-json FILE            write the same perf summary as JSON\n"
       "  --help                      this text");
