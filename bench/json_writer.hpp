@@ -6,8 +6,7 @@
 ///  * JsonWriter — a small streaming writer (objects, arrays, scalar
 ///    values) with automatic comma placement and two-space indentation.
 ///    Strings are escaped and doubles rendered via the same helpers the
-///    metrics exporter uses, so every BENCH_*.json in the tree is produced
-///    by one code path.
+///    metrics exporter uses.
 ///  * ResultSink — the `--json FILE` seam every fig*/table*/ablation*
 ///    harness shares: rows of named cells accumulate next to the human
 ///    table and are written as
@@ -61,15 +60,6 @@ class JsonWriter {
     prefix();
     os_ << v;
     return *this;
-  }
-  JsonWriter& value(std::int64_t v) {
-    prefix();
-    os_ << v;
-    return *this;
-  }
-  JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
-  JsonWriter& value(unsigned long long v) {
-    return value(static_cast<std::uint64_t>(v));
   }
   JsonWriter& value(bool v) {
     prefix();

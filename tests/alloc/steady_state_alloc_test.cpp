@@ -159,7 +159,8 @@ void expect_within(const Budget& b) {
   EXPECT_LE(got.lock, b.lock)
       << name << ": " << got.lock << " lock allocations per transaction";
   EXPECT_LE(got.untagged, b.untagged)
-      << name << ": " << got.untagged << " untagged allocations per transaction";
+      << name << ": " << got.untagged
+      << " untagged allocations per transaction";
   std::printf("%s sim=%.4f net=%.4f lock=%.2f untagged=%.2f\n", name.c_str(),
               got.sim, got.net, got.lock, got.untagged);
 }
